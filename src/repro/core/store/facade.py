@@ -4,115 +4,32 @@
 API alive over a :class:`~repro.core.store.columns.ColumnarTrace`
 without building the object graph up front; :func:`to_trace` and
 :func:`canonical_lines` are the materialization and serialization halves
-that back it (both bit-identical to the pre-columnar reader/writer).
+that back it (both bit-identical to the pre-columnar reader/writer;
+serialization goes through the materialized trace).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.intervals import Interval
 from repro.core.samples import Sample, ThreadSample
-from repro.core.store.columns import (
-    ColumnarTrace,
-    _GC_CODE,
-    _KINDS,
-    _KIND_VALUES,
-    _STATES,
-)
+from repro.core.store.columns import ColumnarTrace, _KINDS, _STATES
 from repro.core.trace import Trace
 
 # ----------------------------------------------------------------------
-# Canonical serialization (digest) without materializing objects
+# Canonical serialization
 # ----------------------------------------------------------------------
 
 
 def canonical_lines(store: ColumnarTrace) -> List[str]:
-    """The canonical text serialization, byte-identical to
+    """The canonical text serialization:
     :func:`repro.lila.writer.trace_to_lines` over the materialized
-    trace — computed straight from the columns."""
-    from repro.lila.format import check_symbol, encode_stack, header_line
+    trace. The content digest does not go through it —
+    :func:`repro.lila.digest.trace_digest` hashes the columns directly."""
+    from repro.lila.writer import trace_to_lines
 
-    meta = store.metadata
-    lines = [header_line()]
-    lines.append(
-        f"M application {check_symbol(meta.application, 'application')}"
-    )
-    lines.append(
-        f"M session_id {check_symbol(meta.session_id, 'session id')}"
-    )
-    lines.append(f"M start_ns {meta.start_ns}")
-    lines.append(f"M end_ns {meta.end_ns}")
-    lines.append(
-        f"M gui_thread {check_symbol(meta.gui_thread, 'thread name')}"
-    )
-    lines.append(f"M sample_period_ns {meta.sample_period_ns}")
-    lines.append(f"M filter_ms {meta.filter_ms!r}")
-    for key in sorted(meta.extra):
-        lines.append(
-            f"M x.{check_symbol(key, 'metadata key')} "
-            f"{check_symbol(meta.extra[key], 'metadata value')}"
-        )
-    lines.append(f"F {store.short_episode_count}")
-
-    names = sorted(store._thread_map)
-    gui = meta.gui_thread
-    if gui in names:
-        names.remove(gui)
-        names.insert(0, gui)
-    checked: Dict[int, str] = {}
-    strings = store.strings
-
-    def symbol_text(symbol_id: int) -> str:
-        text = checked.get(symbol_id)
-        if text is None:
-            text = check_symbol(strings[symbol_id])
-            checked[symbol_id] = text
-        return text
-
-    for name in names:
-        columns = store.threads[store._thread_map[name]]
-        lines.append(f"T {check_symbol(name, 'thread name')}")
-        kind = columns.kind
-        start = columns.start
-        end = columns.end
-        symbol = columns.symbol
-        size = columns.size
-        closes: List[Tuple[int, int]] = []
-        for row in range(len(columns)):
-            while closes and row >= closes[-1][0]:
-                lines.append(f"C {closes.pop()[1]}")
-            if kind[row] == _GC_CODE and size[row] == 1:
-                lines.append(
-                    f"G {start[row]} {end[row]} {symbol_text(symbol[row])}"
-                )
-            else:
-                lines.append(
-                    f"O {start[row]} {_KIND_VALUES[kind[row]]} "
-                    f"{symbol_text(symbol[row])}"
-                )
-                closes.append((row + size[row], end[row]))
-        while closes:
-            lines.append(f"C {closes.pop()[1]}")
-
-    encoded_stacks: Dict[int, str] = {}
-    entry_thread = store.entry_thread
-    entry_state = store.entry_state
-    entry_stack = store.entry_stack
-    for tick in range(len(store.sample_ts)):
-        lines.append(f"P {store.sample_ts[tick]}")
-        for entry in range(store.sample_offsets[tick],
-                           store.sample_offsets[tick + 1]):
-            stack_id = entry_stack[entry]
-            encoded = encoded_stacks.get(stack_id)
-            if encoded is None:
-                encoded = encode_stack(store.stacks[stack_id])
-                encoded_stacks[stack_id] = encoded
-            lines.append(
-                f"t {check_symbol(strings[entry_thread[entry]], 'thread name')} "
-                f"{_STATES[entry_state[entry]].value} {encoded}"
-            )
-    return lines
+    return trace_to_lines(to_trace(store))
 
 
 # ----------------------------------------------------------------------

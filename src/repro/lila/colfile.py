@@ -43,7 +43,6 @@ then in-memory, not file-backed).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
@@ -66,11 +65,12 @@ from repro.core.store.columns import (
 )
 from repro.core.trace import TraceMetadata
 from repro.faults import runtime as faults_runtime
+from repro.lila.digest import trace_digest
 from repro.lila.source import TraceSource
 from repro.obs import runtime as obs_runtime
 
 MAGIC = b"LILC"
-VERSION = 1
+VERSION = 2
 SUFFIX = ".lilac"
 
 _PROLOGUE = struct.Struct("<4sHBBII")
@@ -81,25 +81,6 @@ _U8 = struct.Struct("<B")
 
 def _align8(offset: int) -> int:
     return (offset + 7) & ~7
-
-
-def store_digest(store: ColumnarTrace) -> str:
-    """The store's canonical content digest (memoized on the store).
-
-    Identical to :func:`repro.lila.digest.trace_digest` over a facade of
-    the store — the same hash over the same canonical lines — so a
-    `.lilac` file carries exactly the digest the engine's cache keys on.
-    """
-    memo = getattr(store, "_content_digest", None)
-    if memo is not None:
-        return memo
-    digest = hashlib.sha256()
-    for line in store.canonical_lines():
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    value = digest.hexdigest()
-    store._content_digest = value
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +201,7 @@ def write_column_file(
 
     meta = store.metadata
     header = {
-        "digest": store_digest(store),
+        "digest": trace_digest(store),
         "metadata": {
             "application": meta.application,
             "session_id": meta.session_id,
@@ -287,15 +268,12 @@ class ColumnFileBacking:
     worker re-maps instead of receiving through the task pipe.
     """
 
-    __slots__ = ("path", "map", "nbytes", "digest")
+    __slots__ = ("path", "map", "nbytes")
 
-    def __init__(
-        self, path: Path, map_obj: mmap.mmap, nbytes: int, digest: str
-    ) -> None:
+    def __init__(self, path: Path, map_obj: mmap.mmap, nbytes: int) -> None:
         self.path = path
         self.map = map_obj
         self.nbytes = nbytes
-        self.digest = digest
 
     def __repr__(self) -> str:
         return f"ColumnFileBacking({str(self.path)!r}, {self.nbytes} bytes)"
@@ -657,7 +635,7 @@ def _open_mapped(path: Path, map_obj: mmap.mmap) -> ColumnarTrace:
     )
     store._content_digest = digest
     if not copy_mode:
-        store.backing = ColumnFileBacking(path, map_obj, size, digest)
+        store.backing = ColumnFileBacking(path, map_obj, size)
     return store
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import sqlite3
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -234,17 +233,21 @@ class StudyWarehouse:
         faults_runtime.check("warehouse.write", key=f"{app}/{session_id}")
         now = time.time() if ts is None else float(ts)
         counts = pattern_counts or {}
+        stat_values = [float(getattr(stats, name)) for name in _STAT_COLUMNS]
         connection = self._connect()
         try:
-            existing = connection.execute(
-                "SELECT trace_digest FROM sessions"
-                " WHERE run_id = ? AND app = ? AND session_id = ?",
-                (run_id, app, session_id),
-            ).fetchone()
-            if existing is not None and existing[0] == trace_digest:
-                return False
-            stat_values = [float(getattr(stats, name)) for name in _STAT_COLUMNS]
             with connection:
+                # Take the write lock before the dedup check, so the
+                # check and the write are one transaction: two writers
+                # of the same session cannot both see it absent.
+                connection.execute("BEGIN IMMEDIATE")
+                existing = connection.execute(
+                    "SELECT trace_digest FROM sessions"
+                    " WHERE run_id = ? AND app = ? AND session_id = ?",
+                    (run_id, app, session_id),
+                ).fetchone()
+                if existing is not None and existing[0] == trace_digest:
+                    return False
                 connection.execute(
                     "INSERT OR IGNORE INTO runs (run_id, created_ts)"
                     " VALUES (?, ?)",

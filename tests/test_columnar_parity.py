@@ -3,8 +3,11 @@
 Every golden trace is read through all encodings — the text file as
 checked in, a binary round-trip of it, and an mmap-backed ``.lilac``
 column file — and the paths must be indistinguishable: identical
-columnar content (canonical lines, hence content digest) and identical
+columnar content (canonical lines and content digest) and identical
 results from every registered analysis under several configurations.
+The digest legs pin the column digest equal across every
+representation (lines, object traces, byte orders, pickles, shared
+intern tables, hash seeds) and sensitive to every content field.
 Another leg compares the columnar fast path against the materialized
 object path, so a drift in either the column kernels or the object
 algorithms breaks the bond here. The engine legs pin mmap-vs-in-memory
@@ -29,6 +32,7 @@ from repro.lila.colfile import open_column_trace, write_column_file
 from repro.lila.digest import trace_digest
 from repro.lila.source import (
     BinaryTraceSource,
+    LinesTraceSource,
     TextTraceSource,
     build_store,
     build_trace,
@@ -299,3 +303,221 @@ def test_garbled_column_file_is_typed(golden_path, tmp_path):
             assert str(error.path) == str(bad), (
                 f"error lost its file provenance: {error}"
             )
+
+
+# ---------------------------------------------------------------------
+# Content digest: one value per content, whatever the representation
+# ---------------------------------------------------------------------
+
+
+def fresh_digest(trace) -> str:
+    """``trace_digest`` recomputed from the columns (memos dropped), so
+    a `.lilac` leg hashes its mapped columns instead of adopting the
+    digest its header carries."""
+    store = getattr(trace, "columnar", None) or trace
+    store._content_digest = None
+    trace._content_digest = None
+    return trace_digest(trace)
+
+
+def byteswapped_lilac_facade(path: Path, tmp_path: Path):
+    """The same trace from the ``.lilac`` file a host of the other byte
+    order would write: every column segment byteswapped and the
+    byteorder flag flipped (it opens as an in-memory copy)."""
+    import json
+    import struct
+    from array import array
+
+    from repro.lila.colfile import _align8
+
+    native = lilac_facade(path, tmp_path).columnar.backing.path
+    data = bytearray(native.read_bytes())
+    data[6] ^= 1
+    header_len = struct.unpack_from("<I", data, 8)[0]
+    header = json.loads(bytes(data[16:16 + header_len]))
+    base = _align8(16 + header_len)
+    for entry in header["segments"]:
+        lo = base + entry["offset"]
+        hi = lo + entry["nbytes"]
+        column = array(entry["typecode"])
+        column.frombytes(bytes(data[lo:hi]))
+        column.byteswap()
+        data[lo:hi] = column.tobytes()
+    alien = tmp_path / (path.stem + "-swapped.lilac")
+    alien.write_bytes(bytes(data))
+    return open_column_trace(alien)
+
+
+def shared_intern_facade(path: Path):
+    """``path``'s trace columnarized on one study-wide intern table,
+    after the rest of the corpus, so its string and stack ids differ
+    from a per-trace build."""
+    from repro.core.store.buffers import InternTable
+    from repro.core.store.facade import as_columnar
+
+    interns = InternTable()
+    stack_interns = InternTable()
+    others = [other for other in GOLDEN_DIR.glob("*.lila") if other != path]
+    for other in sorted(others) + [path]:
+        facade = as_columnar(
+            text_facade(other).columnar.to_trace(),
+            interns=interns,
+            stack_interns=stack_interns,
+        )
+    return facade
+
+
+#: Representations of one trace's content beyond text and binary
+#: (pinned in ``test_binary_round_trip_is_columnar_identical``); each
+#: must digest alike. "columnarize" is a plain object trace, which
+#: ``trace_digest`` columnarizes itself.
+DIGEST_LEGS = {
+    "lines": lambda path, tmp: build_trace(
+        LinesTraceSource(path.read_text(encoding="utf-8").splitlines())
+    ),
+    "columnarize": lambda path, tmp: text_facade(path).columnar.to_trace(),
+    "lilac": lambda path, tmp: lilac_facade(path, tmp),
+    "lilac-byteswapped": byteswapped_lilac_facade,
+    "pickled-store": lambda path, tmp: pickle.loads(
+        pickle.dumps(build_store(TextTraceSource(path)))
+    ),
+    "shared-interns": lambda path, tmp: shared_intern_facade(path),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(DIGEST_LEGS))
+def test_digest_is_identical_across_representations(
+    golden_path, tmp_path, leg
+):
+    expected = trace_digest(text_facade(golden_path))
+    trace = DIGEST_LEGS[leg](golden_path, tmp_path)
+    if leg.startswith("lilac"):
+        # The header carries the digest the file was written with...
+        assert trace_digest(trace) == expected
+        # ...and the mapped (or byteswap-copied) columns hash to it.
+        expect_backed = leg == "lilac"
+        assert (trace.columnar.backing is not None) == expect_backed
+    assert fresh_digest(trace) == expected, f"{leg} digest drifted"
+
+
+def _bump_start(store) -> None:
+    store.threads[0].start[0] += 1
+
+
+def _rename_symbol(store) -> None:
+    columns = store.threads[0]
+    columns.symbol[0] = store.interns.intern("digest.Probe.renamed")
+
+
+def _change_kind(store) -> None:
+    from repro.core.intervals import IntervalKind
+
+    kind = store.threads[0].kind
+    kind[0] = (kind[0] + 1) % len(IntervalKind)
+
+
+def _change_nesting(store) -> None:
+    store.threads[0].size[0] += 1
+
+
+def _change_state(store) -> None:
+    from repro.core.samples import ThreadState
+
+    state = store.entry_state
+    state[0] = (state[0] + 1) % len(ThreadState)
+
+
+def _change_frame(store) -> None:
+    from repro.core.samples import StackFrame, StackTrace
+
+    stack_id = store.entry_stack[0]
+    frames = list(store.stacks[stack_id].frames)
+    frames[:1] = [StackFrame("digest.Probe", "swapped")]
+    store.stacks[stack_id] = StackTrace(frames)
+
+
+def _change_extra(store) -> None:
+    meta = store.metadata
+    meta.extra = dict(meta.extra, seed="0")
+
+
+#: One-field edits; each must change the digest.
+DIGEST_MUTATIONS = {
+    "interval-start": _bump_start,
+    "symbol": _rename_symbol,
+    "kind": _change_kind,
+    "nesting": _change_nesting,
+    "sample-state": _change_state,
+    "stack-frame": _change_frame,
+    "metadata-extra": _change_extra,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(DIGEST_MUTATIONS))
+def test_digest_changes_with_every_content_field(golden_path, mutation):
+    def copy():
+        store = build_store(TextTraceSource(golden_path))
+        return pickle.loads(pickle.dumps(store))
+
+    base, mutated = copy(), copy()
+    DIGEST_MUTATIONS[mutation](mutated)
+    assert trace_digest(base) != trace_digest(mutated), (
+        f"digest blind to a {mutation} change"
+    )
+
+
+def test_digest_is_stable_across_hash_seeds():
+    """No dict or set iteration order reaches the digest: the corpus
+    digests the same, through text, columns and shared intern tables,
+    under two ``PYTHONHASHSEED`` values."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from repro.core.store.buffers import InternTable\n"
+        "from repro.core.store.facade import as_columnar\n"
+        "from repro.lila.digest import trace_digest\n"
+        "from repro.lila.reader import read_trace\n"
+        "interns, stacks = InternTable(), InternTable()\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.lila')):\n"
+        "    text = read_trace(path)\n"
+        "    shared = as_columnar(text.columnar.to_trace(),\n"
+        "                         interns=interns, stack_interns=stacks)\n"
+        "    print(trace_digest(text), trace_digest(shared))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "12345"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))
+            ),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(GOLDEN_DIR)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(result.stdout)
+    lines = outputs[0].split("\n")
+    assert outputs[0] == outputs[1]
+    assert all(len(set(line.split())) == 1 for line in lines if line)
+    assert sum(1 for line in lines if line) == len(
+        list(GOLDEN_DIR.glob("*.lila"))
+    )
+
+
+def test_unstorable_symbol_still_raises():
+    """A symbol the text format cannot hold fails the digest, typed."""
+    from repro.core.errors import TraceFormatError
+
+    store = build_store(TextTraceSource(GOLDEN_TRACES[0]))
+    store.threads[0].symbol[0] = store.interns.intern("bad symbol")
+    with pytest.raises(TraceFormatError, match="forbidden character"):
+        trace_digest(store)

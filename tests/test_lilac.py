@@ -2,9 +2,9 @@
 
 Structural coverage for the zero-copy column file that
 ``tests/test_columnar_parity.py`` pins semantically: write/open round
-trips, digest adoption, pickling of file-backed stores, the
-``lila.mmap`` fault site, the ``convert`` CLI, and the ingest-side
-column-file plumbing (``ingest_spool(column_file=)`` and
+trips, digest adoption and the version gate, pickling of file-backed
+stores, the ``lila.mmap`` fault site, the ``convert`` CLI, and the
+ingest-side column-file plumbing (``ingest_spool(column_file=)`` and
 ``IngestServer(column_dir=)``).
 """
 
@@ -87,6 +87,26 @@ class TestRoundTrip:
         assert pickle.dumps(sorted(text_result.items())) == pickle.dumps(
             sorted(mapped_result.items())
         )
+
+
+class TestHeaderDigest:
+    def test_writing_an_unstorable_symbol_raises(self, trace_path, tmp_path):
+        store = build_store(TextTraceSource(trace_path))
+        store.threads[0].symbol[0] = store.interns.intern("has;separator")
+        with pytest.raises(TraceFormatError, match="forbidden character"):
+            write_column_file(store, tmp_path / "bad.lilac")
+        assert not (tmp_path / "bad.lilac").exists()
+
+    def test_version_1_file_is_refused(self, column_path):
+        """Version-1 headers carry the old text digest; they must not
+        key the cache, so opening one fails typed."""
+        data = bytearray(column_path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")
+        column_path.write_bytes(bytes(data))
+        with pytest.raises(
+            TraceFormatError, match="unsupported column file version 1"
+        ):
+            open_column_store(column_path)
 
 
 class TestPickling:

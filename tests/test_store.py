@@ -4,7 +4,7 @@ Checks the contracts that keep the streaming pipeline honest: the
 facade materializes the object graph only when an analysis actually
 needs it, serialization round-trips losslessly in both directions
 (``from_trace``/``to_trace`` and pickle), and the canonical line
-rendering — hence the content digest — is identical whichever
+rendering and the content digest are identical whichever
 representation produced it.
 """
 

@@ -975,6 +975,41 @@ class TestConcurrency:
             ("App-a", 12), ("App-b", 12),
         ]
 
+    def test_same_session_racing_writers_store_it_once(self, wh):
+        """The dedup check runs under the write lock: of two writers of
+        the same ``(run, app, session, digest)`` exactly one writes."""
+        # Create the file first: two connections racing to create it
+        # and switch it to WAL is a separate first-open race.
+        wh.schema_version()
+        for round_index in range(6):
+            session = f"s{round_index}"
+            start = threading.Barrier(2)
+            outcomes: list = []
+            errors: list = []
+
+            def write() -> None:
+                try:
+                    start.wait(timeout=10.0)
+                    outcomes.append(wh.ingest_session(
+                        "r", "App", session, make_stats(),
+                        pattern_counts={"k": (1, 0)}, trace_digest="same",
+                    ))
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+            threads = [threading.Thread(target=write) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert errors == []
+            assert sorted(outcomes) == [False, True], session
+            rows = [row for row in session_rows(wh)
+                    if row["session_id"] == session]
+            assert len(rows) == 1
+        assert wh.top_patterns()[0].occurrences == 6
+
     def test_reader_survives_concurrent_maintenance(self, wh):
         wh.record_run("old", ts=10.0)
         for index in range(20):
