@@ -8,6 +8,8 @@ the source's path and line (text) or byte offset (binary).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import TraceFormatError
@@ -30,6 +32,7 @@ from repro.lila.binary import write_trace_binary
 from repro.lila.source import (
     BinaryTraceSource,
     LinesTraceSource,
+    RecordFeed,
     TextTraceSource,
     build_store,
     build_trace,
@@ -239,3 +242,72 @@ class TestBuildStore:
         assert registry.counter_value("lila.records_streamed") == 15
         assert registry.gauge("store.bytes").value == store.nbytes
         assert store.nbytes > 0
+
+
+# ----------------------------------------------------------------------
+# Repeated sample lines
+# ----------------------------------------------------------------------
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SAMPLE_LINE = "t gui runnable app.Editor#run;java.awt.EventQueue#dispatchEvent"
+
+
+def _many_ticks(count):
+    """TINY followed by ``count`` more ticks of the same sample line."""
+    lines = tiny_lines()
+    for index in range(count):
+        lines.append(f"P {20_000_000 + index * 10_000}")
+        lines.append(SAMPLE_LINE)
+    return lines
+
+
+class TestRepeatedSampleLines:
+    """Text sources see most ``t`` lines many times; each still counts."""
+
+    def test_repeated_line_after_a_thread_record_is_outside_a_tick(self):
+        lines = tiny_lines() + ["T worker", SAMPLE_LINE]
+        with pytest.raises(TraceFormatError) as info:
+            build_store(LinesTraceSource(lines))
+        assert info.value.line == len(lines)
+        assert str(info.value) == (
+            f"line {len(lines)}: t record outside a tick"
+        )
+
+    @pytest.mark.parametrize(
+        "damaged, message",
+        [
+            ("t gui sleepy app.Editor#run", "unknown thread state"),
+            ("t gui runnable app.Editor#run;nomethod",
+             "malformed stack frame token"),
+            ("t gui runnable", "malformed t record"),
+        ],
+        ids=["state", "stack", "fields"],
+    )
+    def test_damaged_line_after_many_good_ones_keeps_its_line(
+        self, damaged, message
+    ):
+        lines = _many_ticks(200) + ["P 90000000", damaged]
+        with pytest.raises(TraceFormatError) as info:
+            build_store(LinesTraceSource(lines))
+        assert info.value.line == len(lines)
+        assert message in str(info.value)
+
+    def test_repeated_lines_build_every_entry(self):
+        store = build_store(LinesTraceSource(_many_ticks(50)))
+        assert len(store.sample_ts) == 51
+        assert len(store.entry_stack) == 51
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in GOLDEN_DIR.glob("*.lila"))
+    )
+    def test_record_feed_matches_the_file_source(self, name):
+        path = GOLDEN_DIR / name
+        feed = RecordFeed()
+        pushed = []
+        with path.open("r", encoding="utf-8") as handle:
+            for raw in handle:
+                record = feed.feed(raw)
+                if record is not None:
+                    pushed.append(record)
+        assert pushed == list(TextTraceSource(path).records())
