@@ -78,6 +78,9 @@ class ColumnarBuilder:
         )
         self._stacks: List[StackTrace] = self.stack_interns.strings
         self._stacks_map: Dict[StackTrace, int] = self.stack_interns.ids
+        # Ids of the stack objects held in the table: a lookup by
+        # identity skips hashing the frames.
+        self._stack_ids: Dict[int, int] = {}
 
     # -- interning -----------------------------------------------------
 
@@ -95,37 +98,40 @@ class ColumnarBuilder:
             index = len(self._stacks)
             self._stacks_map[stack] = index
             self._stacks.append(stack)
+        if self._stacks[index] is stack:
+            # The table keeps this object alive, so its id stays unique.
+            self._stack_ids[id(stack)] = index
         return index
 
     # -- record intake -------------------------------------------------
 
     def feed(self, record: tuple) -> None:
-        """Apply one source record to the store under construction."""
+        """Apply one source record (tags tested most frequent first)."""
         self.record_count += 1
         tag = record[0]
-        if tag == REC_OPEN:
+        if tag == REC_ENTRY:
+            if self._pending_tick is None:
+                raise TraceFormatError("t record outside a tick")
+            _, thread_name, state, stack = record
+            thread_id = self._strings_map.get(thread_name)
+            if thread_id is None:
+                thread_id = self._intern(thread_name)
+            stack_id = self._stack_ids.get(id(stack))
+            if stack_id is None:
+                stack_id = self._intern_stack(stack)
+            self._pending_entries.append((thread_id, _STATE_CODES[state], stack_id))
+        elif tag == REC_OPEN:
             _, start_ns, kind, symbol = record
             self._open_interval(kind, symbol, start_ns)
         elif tag == REC_CLOSE:
             self._close_interval(record[1])
+        elif tag == REC_TICK:
+            self.flush_samples()
+            self._pending_tick = record[1]
         elif tag == REC_GC:
             _, start_ns, end_ns, symbol = record
             self._open_interval(IntervalKind.GC, symbol, start_ns)
             self._close_interval(end_ns)
-        elif tag == REC_ENTRY:
-            if self._pending_tick is None:
-                raise TraceFormatError("t record outside a tick")
-            _, thread_name, state, stack = record
-            self._pending_entries.append(
-                (
-                    self._intern(thread_name),
-                    _STATE_CODES[state],
-                    self._intern_stack(stack),
-                )
-            )
-        elif tag == REC_TICK:
-            self.flush_samples()
-            self._pending_tick = record[1]
         elif tag == REC_THREAD:
             self.flush_samples()
             name = record[1]
@@ -183,7 +189,10 @@ class ColumnarBuilder:
         columns.start.append(start_ns)
         columns.end.append(0)
         columns.kind.append(_KIND_CODES[kind])
-        columns.symbol.append(self._intern(symbol))
+        symbol_id = self._strings_map.get(symbol)
+        if symbol_id is None:
+            symbol_id = self._intern(symbol)
+        columns.symbol.append(symbol_id)
         columns.parent.append(parent_row)
         columns.size.append(0)
         frames.append([row, kind, symbol, start_ns, None])

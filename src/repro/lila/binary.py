@@ -11,9 +11,13 @@ repeat constantly, so the encoding interns all three —
 3. a **stack table** of frame-id tuples —
 
 and samples then cost a few integers each. Interval events use fixed-
-width records. The reader reconstructs exactly the same
-:class:`~repro.core.trace.Trace` as the text reader (round-trip
-tested); ``bench_binary_format.py`` measures the size and speed win.
+width records. The reader, :class:`~repro.lila.source.BinaryTraceSource`,
+checks the CRC footer, then unpacks each fixed-width record with one
+precompiled ``struct`` call on a local offset into the file bytes; only
+when it raises does it stamp an offset, that of the field at fault. It
+yields exactly the records the text reader yields for the same trace
+(round-trip tested); ``bench_binary_format.py`` measures the size and
+speed win.
 
 Layout (little-endian):
 
@@ -55,15 +59,24 @@ _TAG_CLOSE = 2
 _TAG_GC = 3
 
 _KIND_CODES = {kind: index for index, kind in enumerate(IntervalKind)}
-_KINDS_BY_CODE = {index: kind for kind, index in _KIND_CODES.items()}
+_KINDS_BY_CODE = tuple(IntervalKind)
 _STATE_CODES = {state: index for index, state in enumerate(ThreadState)}
-_STATES_BY_CODE = {index: state for state, index in _STATE_CODES.items()}
+_STATES_BY_CODE = tuple(ThreadState)
 
+_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-_U8 = struct.Struct("<B")
+
+# Fixed-width records, each written with one ``pack`` and read with one
+# ``unpack_from``.
+_PAIR = struct.Struct("<II")  # metadata extra: key, value
+_FRAME = struct.Struct("<IIB")  # class, method, native
+_META = struct.Struct("<QQQdQ")  # start, end, sample period, filter, filtered
+_OPEN = struct.Struct("<QBI")  # after the tag: t, kind, symbol
+_GC = struct.Struct("<QQI")  # after the tag: t0, t1, symbol
+_TICK = struct.Struct("<QH")  # t, entry count
+_ENTRY = struct.Struct("<IBI")  # thread, state, stack
 
 
 class _Interner:
@@ -109,19 +122,16 @@ class _Writer:
     # -- encoding ----------------------------------------------------------
 
     def _interval_events(self, interval: Interval, out: List[bytes]) -> None:
+        symbol = self.strings.intern(interval.symbol)
         if interval.kind is IntervalKind.GC and not interval.children:
             out.append(
                 _U8.pack(_TAG_GC)
-                + _U64.pack(interval.start_ns)
-                + _U64.pack(interval.end_ns)
-                + _U32.pack(self.strings.intern(interval.symbol))
+                + _GC.pack(interval.start_ns, interval.end_ns, symbol)
             )
             return
         out.append(
             _U8.pack(_TAG_OPEN)
-            + _U64.pack(interval.start_ns)
-            + _U8.pack(_KIND_CODES[interval.kind])
-            + _U32.pack(self.strings.intern(interval.symbol))
+            + _OPEN.pack(interval.start_ns, _KIND_CODES[interval.kind], symbol)
         )
         for child in interval.children:
             self._interval_events(child, out)
@@ -154,15 +164,14 @@ class _Writer:
 
         sample_blobs: List[bytes] = []
         for sample in trace.samples:
-            entry_parts = [
-                _U64.pack(sample.timestamp_ns),
-                _U16.pack(len(sample.threads)),
-            ]
+            entry_parts = [_TICK.pack(sample.timestamp_ns, len(sample.threads))]
             for entry in sample.threads:
                 entry_parts.append(
-                    _U32.pack(self.strings.intern(entry.thread_name))
-                    + _U8.pack(_STATE_CODES[entry.state])
-                    + _U32.pack(self._stack_id(entry.stack))
+                    _ENTRY.pack(
+                        self.strings.intern(entry.thread_name),
+                        _STATE_CODES[entry.state],
+                        self._stack_id(entry.stack),
+                    )
                 )
             sample_blobs.append(b"".join(entry_parts))
 
@@ -180,32 +189,25 @@ class _Writer:
         handle.write(_U32.pack(len(self.strings.values)))
         for text in self.strings.values:
             data = text.encode("utf-8")
-            handle.write(_U32.pack(len(data)))
-            handle.write(data)
+            handle.write(_U32.pack(len(data)) + data)
 
         handle.write(_U32.pack(len(self.frames.values)))
         for class_id, method_id, native in self.frames.values:
-            handle.write(_U32.pack(class_id))
-            handle.write(_U32.pack(method_id))
-            handle.write(_U8.pack(1 if native else 0))
+            handle.write(_FRAME.pack(class_id, method_id, 1 if native else 0))
 
         handle.write(_U32.pack(len(self.stacks.values)))
         for frame_ids in self.stacks.values:
-            handle.write(_U16.pack(len(frame_ids)))
-            for frame_id in frame_ids:
-                handle.write(_U32.pack(frame_id))
+            depth = len(frame_ids)
+            handle.write(struct.pack(f"<H{depth}I", depth, *frame_ids))
 
-        for meta_id in meta_ids:
-            handle.write(_U32.pack(meta_id))
-        handle.write(_U64.pack(meta.start_ns))
-        handle.write(_U64.pack(meta.end_ns))
-        handle.write(_U64.pack(meta.sample_period_ns))
-        handle.write(_F64.pack(meta.filter_ms))
-        handle.write(_U64.pack(trace.short_episode_count))
+        handle.write(struct.pack("<3I", *meta_ids))
+        handle.write(_META.pack(
+            meta.start_ns, meta.end_ns, meta.sample_period_ns, meta.filter_ms,
+            trace.short_episode_count,
+        ))
         handle.write(_U32.pack(len(extra_ids)))
         for key_id, value_id in extra_ids:
-            handle.write(_U32.pack(key_id))
-            handle.write(_U32.pack(value_id))
+            handle.write(_PAIR.pack(key_id, value_id))
 
         handle.write(_U32.pack(len(thread_sections)))
         for name_id, events in thread_sections:

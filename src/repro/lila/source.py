@@ -19,9 +19,10 @@ module and raise exactly the errors they always did.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import LagAlyzerError, TraceFormatError
 from repro.core.intervals import IntervalKind
@@ -51,7 +52,7 @@ class TraceSource:
         path: the backing file, or None for in-memory input.
         encoding: ``"text"``, ``"binary"``, or ``"lines"``.
         line: 1-based line number of the record last produced (text).
-        offset: byte offset of the field last read (binary).
+        offset: byte offset of the field at fault (binary; set on error).
         wrap_errors: whether the ingestion driver should re-type
             nesting/analysis errors as position-carrying
             :class:`TraceFormatError` (the text readers' contract) or
@@ -141,6 +142,12 @@ def _parse_body_line(
                 path=path,
                 line=line_no,
             )
+        # Few sample lines are distinct, so each finished record is
+        # memoized by its line text; stacks are shared between lines
+        # under a 1-tuple of their token, which no line key can equal.
+        entry = stack_cache.get(line)
+        if entry is not None:
+            return entry
         parts = rest.split(" ", 2)
         if len(parts) != 3:
             raise TraceFormatError(
@@ -157,15 +164,17 @@ def _parse_body_line(
                     f"line {line_no}: {error}", path=path, line=line_no
                 ) from None
             _STATES_BY_TOKEN[parts[1]] = thread_state
-        token = parts[2]
+        token = (parts[2],)
         stack = stack_cache.get(token)
         if stack is None:
             try:
-                stack = decode_stack(token)
+                stack = decode_stack(parts[2])
             except TraceFormatError as error:
                 raise source.annotate(error)
             stack_cache[token] = stack
-        return (REC_ENTRY, parts[0], thread_state, stack)
+        entry = (REC_ENTRY, parts[0], thread_state, stack)
+        stack_cache[line] = entry
+        return entry
     elif record == "O":
         parts = rest.split(" ", 2)
         if len(parts) != 3:
@@ -356,48 +365,6 @@ class LinesTraceSource(TraceSource):
         return _text_records(self, self._lines)
 
 
-class _Cursor:
-    """Position-tracked reads over binary payload bytes."""
-
-    __slots__ = ("source", "data", "pos", "base")
-
-    def __init__(
-        self, source: "BinaryTraceSource", data: bytes, base: int = 0
-    ) -> None:
-        self.source = source
-        self.data = data
-        self.pos = 0
-        self.base = base
-
-    def read(self, n: int) -> bytes:
-        self.source.offset = self.base + self.pos
-        end = self.pos + n
-        data = self.data[self.pos:end]
-        if len(data) != n:
-            raise TraceFormatError(
-                f"truncated binary trace (wanted {n} bytes, got {len(data)})",
-                path=self.source.path,
-                offset=self.source.offset,
-            )
-        self.pos = end
-        return data
-
-    def u8(self) -> int:
-        return binary_format._U8.unpack(self.read(1))[0]
-
-    def u16(self) -> int:
-        return binary_format._U16.unpack(self.read(2))[0]
-
-    def u32(self) -> int:
-        return binary_format._U32.unpack(self.read(4))[0]
-
-    def u64(self) -> int:
-        return binary_format._U64.unpack(self.read(8))[0]
-
-    def f64(self) -> float:
-        return binary_format._F64.unpack(self.read(8))[0]
-
-
 class BinaryTraceSource(TraceSource):
     """Record stream over a binary (``.lilb``) trace file.
 
@@ -407,6 +374,10 @@ class BinaryTraceSource(TraceSource):
     :class:`TraceFormatError`. Nesting and bounds violations propagate
     raw (``wrap_errors`` is False), preserving the binary reader's
     historical error contract.
+
+    Fields are unpacked in place from the file bytes on a local offset,
+    one ``unpack_from`` per fixed-width record; :attr:`offset` is set
+    only when an error is raised, to the offset of the field at fault.
     """
 
     encoding = "binary"
@@ -417,116 +388,170 @@ class BinaryTraceSource(TraceSource):
         self.line = None
         self.offset = 0
 
-    def _fail(self, message: str) -> TraceFormatError:
-        return TraceFormatError(message, path=self.path, offset=self.offset)
+    def _fail(self, offset: int, message: str) -> TraceFormatError:
+        self.offset = offset
+        return TraceFormatError(message, path=self.path, offset=offset)
+
+    def _short(self, offset: int, wanted: int, end: int) -> TraceFormatError:
+        """The error for a ``wanted``-byte field at ``offset`` past ``end``."""
+        got = end - offset
+        return self._fail(offset, f"truncated binary trace (wanted {wanted} bytes, got {got})")
+
+    def _overrun(self, offset: int, end: int, fmt: str) -> TraceFormatError:
+        """The truncation error of the first field of ``fmt`` past ``end``."""
+        for code in fmt[1:]:
+            width = struct.calcsize("<" + code)
+            if offset + width > end:
+                break
+            offset += width
+        return self._short(offset, width, end)
 
     def records(self) -> Iterator[tuple]:
         data = self.path.read_bytes()
-        cursor = _Cursor(self, data)
-        if cursor.read(4) != binary_format.MAGIC:
-            raise self._fail("not a binary LiLa trace (bad magic)")
-        version = cursor.u16()
+        size = len(data)
+        if size < 4:
+            raise self._short(0, 4, size)
+        if data[:4] != binary_format.MAGIC:
+            raise self._fail(0, "not a binary LiLa trace (bad magic)")
+        if size < 6:
+            raise self._short(4, 2, size)
+        (version,) = binary_format._U16.unpack_from(data, 4)
         if version != binary_format.VERSION:
-            raise self._fail(f"unsupported binary trace version {version}")
-        rest = data[6:]
-        if len(rest) < 4:
-            raise self._fail("truncated binary trace (missing CRC)")
-        payload, (expected,) = rest[:-4], binary_format._U32.unpack(rest[-4:])
-        actual = zlib.crc32(payload) & 0xFFFFFFFF
+            raise self._fail(4, f"unsupported binary trace version {version}")
+        if size < 10:
+            raise self._fail(4, "truncated binary trace (missing CRC)")
+        end = size - 4
+        (expected,) = binary_format._U32.unpack_from(data, end)
+        actual = zlib.crc32(memoryview(data)[6:end]) & 0xFFFFFFFF
         if actual != expected:
             raise self._fail(
+                4,
                 f"binary trace is corrupt (CRC {actual:#010x}, "
-                f"expected {expected:#010x})"
+                f"expected {expected:#010x})",
             )
-        cursor = _Cursor(self, payload, base=6)
 
-        strings = [
-            cursor.read(cursor.u32()).decode("utf-8")
-            for _ in range(cursor.u32())
-        ]
+        def fields(layout: struct.Struct, at: int) -> tuple:
+            if at + layout.size > end:
+                raise self._overrun(at, end, layout.format)
+            return layout.unpack_from(data, at)
 
-        def string(index: int) -> str:
-            try:
+        def count(at: int) -> Tuple[int, int]:
+            """The u32 at ``at`` and the offset just past it."""
+            return fields(binary_format._U32, at)[0], at + 4
+
+        strings: List[str] = []
+
+        def string(index: int, at: int) -> str:
+            if index < len(strings):
                 return strings[index]
-            except IndexError:
-                raise self._fail(f"string id {index} out of range") from None
+            raise self._fail(at, f"string id {index} out of range")
 
+        string_count, pos = count(6)
+        for _ in range(string_count):
+            length, pos = count(pos)
+            if pos + length > end:
+                raise self._short(pos, length, end)
+            strings.append(data[pos:pos + length].decode("utf-8"))
+            pos += length
+
+        frame_count, pos = count(pos)
         frames = []
-        for _ in range(cursor.u32()):
-            class_id, method_id = cursor.u32(), cursor.u32()
-            native = cursor.u8() == 1
+        for _ in range(frame_count):
+            class_id, method_id, native = fields(binary_format._FRAME, pos)
+            pos += 9
             frames.append(
-                StackFrame(string(class_id), string(method_id), native)
+                StackFrame(string(class_id, pos - 1), string(method_id, pos - 1), native == 1)
             )
 
+        stack_count, pos = count(pos)
         stacks = []
-        for _ in range(cursor.u32()):
-            depth = cursor.u16()
-            stacks.append(
-                StackTrace(frames[cursor.u32()] for _ in range(depth))
-            )
+        for _ in range(stack_count):
+            (depth,) = fields(binary_format._U16, pos)
+            pos += 2
+            whole = min(depth, (end - pos) // 4)
+            ids = struct.unpack_from(f"<{whole}I", data, pos)
+            stacks.append(StackTrace([frames[i] for i in ids]))
+            pos += 4 * whole
+            if whole < depth:
+                raise self._short(pos, 4, end)
 
-        application = string(cursor.u32())
-        session_id = string(cursor.u32())
-        gui_thread = string(cursor.u32())
-        start_ns = cursor.u64()
-        end_ns = cursor.u64()
-        sample_period_ns = cursor.u64()
-        filter_ms = cursor.f64()
-        short_count = cursor.u64()
+        names = []
+        for _ in range(3):
+            name_id, pos = count(pos)
+            names.append(string(name_id, pos - 4))
+        application, session_id, gui_thread = names
+        start_ns, end_ns, period_ns, filter_ms, short_count = fields(binary_format._META, pos)
+        extra_count, pos = count(pos + binary_format._META.size)
         extras = []
-        for _ in range(cursor.u32()):
-            key_id, value_id = cursor.u32(), cursor.u32()
-            extras.append((string(key_id), string(value_id)))
+        for _ in range(extra_count):
+            key_id, value_id = fields(binary_format._PAIR, pos)
+            pos += 8
+            extras.append((string(key_id, pos - 4), string(value_id, pos - 4)))
 
         yield (REC_META, "application", application, False)
         yield (REC_META, "session_id", session_id, False)
         yield (REC_META, "start_ns", start_ns, False)
         yield (REC_META, "end_ns", end_ns, False)
         yield (REC_META, "gui_thread", gui_thread, False)
-        yield (REC_META, "sample_period_ns", sample_period_ns, False)
+        yield (REC_META, "sample_period_ns", period_ns, False)
         yield (REC_META, "filter_ms", filter_ms, False)
         for key, value in extras:
             yield (REC_META, key, value, True)
         yield (REC_FILTERED, short_count)
 
-        for _ in range(cursor.u32()):
-            name = string(cursor.u32())
-            event_count = cursor.u32()
+        kinds, states = binary_format._KINDS_BY_CODE, binary_format._STATES_BY_CODE
+        unpack_open = binary_format._OPEN.unpack_from
+        unpack_close = binary_format._U64.unpack_from
+        unpack_entry = binary_format._ENTRY.unpack_from
+
+        thread_count, pos = count(pos)
+        for _ in range(thread_count):
+            name_id, pos = count(pos)
+            name = string(name_id, pos - 4)
+            event_count, pos = count(pos)
             yield (REC_THREAD, name)
             for _ in range(event_count):
-                tag = cursor.u8()
+                if pos >= end:
+                    raise self._short(pos, 1, end)
+                tag = data[pos]
+                pos += 1
                 if tag == binary_format._TAG_OPEN:
-                    t = cursor.u64()
-                    kind = binary_format._KINDS_BY_CODE.get(cursor.u8())
-                    if kind is None:
-                        raise self._fail("unknown interval kind code")
-                    yield (REC_OPEN, t, kind, string(cursor.u32()))
+                    if pos + 9 <= end and data[pos + 8] >= len(kinds):
+                        raise self._fail(pos + 8, "unknown interval kind code")
+                    if pos + 13 > end:
+                        raise self._overrun(pos, end, binary_format._OPEN.format)
+                    start, code, symbol = unpack_open(data, pos)
+                    yield (REC_OPEN, start, kinds[code], string(symbol, pos + 9))
+                    pos += 13
                 elif tag == binary_format._TAG_CLOSE:
-                    yield (REC_CLOSE, cursor.u64())
+                    if pos + 8 > end:
+                        raise self._short(pos, 8, end)
+                    yield (REC_CLOSE, unpack_close(data, pos)[0])
+                    pos += 8
                 elif tag == binary_format._TAG_GC:
-                    t0, t1 = cursor.u64(), cursor.u64()
-                    yield (REC_GC, t0, t1, string(cursor.u32()))
+                    start, stop, symbol = fields(binary_format._GC, pos)
+                    yield (REC_GC, start, stop, string(symbol, pos + 16))
+                    pos += 20
                 else:
-                    raise self._fail(f"unknown event tag {tag}")
+                    raise self._fail(pos - 1, f"unknown event tag {tag}")
 
-        for _ in range(cursor.u32()):
-            t = cursor.u64()
-            entry_count = cursor.u16()
-            yield (REC_TICK, t)
+        tick_count, pos = count(pos)
+        for _ in range(tick_count):
+            tick, entry_count = fields(binary_format._TICK, pos)
+            pos += 10
+            yield (REC_TICK, tick)
             for _ in range(entry_count):
-                thread_id = cursor.u32()
-                state = binary_format._STATES_BY_CODE.get(cursor.u8())
-                if state is None:
-                    raise self._fail("unknown thread state code")
-                stack_id = cursor.u32()
-                try:
-                    stack = stacks[stack_id]
-                except IndexError:
-                    raise self._fail(
-                        f"stack id {stack_id} out of range"
-                    ) from None
-                yield (REC_ENTRY, string(thread_id), state, stack)
+                if pos + 5 <= end and data[pos + 4] >= len(states):
+                    raise self._fail(pos + 4, "unknown thread state code")
+                if pos + 9 > end:
+                    raise self._overrun(pos, end, binary_format._ENTRY.format)
+                thread_id, code, stack_id = unpack_entry(data, pos)
+                if stack_id >= stack_count:
+                    raise self._fail(pos + 5, f"stack id {stack_id} out of range")
+                if thread_id >= string_count:
+                    raise self._fail(pos + 5, f"string id {thread_id} out of range")
+                yield (REC_ENTRY, strings[thread_id], states[code], stacks[stack_id])
+                pos += 9
 
 
 def open_source(

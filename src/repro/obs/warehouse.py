@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import LagAlyzerError
+from repro.core.sqlite_wal import ensure_wal
 
 #: Schema version recorded in the ``meta`` table.
 SCHEMA_VERSION = 1
@@ -151,7 +152,7 @@ class Warehouse:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(str(self.path), timeout=5.0)
         try:
-            connection.execute("PRAGMA journal_mode=WAL")
+            ensure_wal(connection)
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.executescript(_SCHEMA)
             connection.execute(

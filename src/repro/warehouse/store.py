@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.statistics import SessionStats
+from repro.core.sqlite_wal import ensure_wal
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
 from repro.warehouse.schema import (
@@ -137,7 +138,7 @@ class StudyWarehouse:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(str(self.path), timeout=10.0)
         try:
-            connection.execute("PRAGMA journal_mode=WAL")
+            ensure_wal(connection)
             connection.execute("PRAGMA synchronous=NORMAL")
             ensure_schema(connection)
         except sqlite3.Error:

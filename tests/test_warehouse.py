@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import sys
 import threading
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.engine.engine import AnalysisEngine
 from repro.faults import runtime as faults_runtime
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.obs.warehouse import Warehouse
 from repro.study.runner import StudyConfig, run_study
 from repro.warehouse.schema import (
     MIGRATIONS,
@@ -947,6 +949,50 @@ class TestProperties:
 
 
 class TestConcurrency:
+    @pytest.mark.parametrize(
+        "open_file",
+        [
+            lambda path: StudyWarehouse(path).schema_version(),
+            lambda path: Warehouse(path).schema_version(),
+        ],
+        ids=["study", "telemetry"],
+    )
+    def test_racing_first_opens_all_succeed_in_wal_mode(
+        self, tmp_path, open_file
+    ):
+        """Connections that create one file at once each switch it to
+        WAL or find it switched; none fails with ``database is locked``."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_index in range(20):
+                path = tmp_path / f"fresh-{round_index}.sqlite"
+                start = threading.Barrier(4)
+                errors: list = []
+
+                def first_open() -> None:
+                    try:
+                        start.wait(timeout=10.0)
+                        open_file(path)
+                    except Exception as error:  # pragma: no cover - failure path
+                        errors.append(error)
+
+                threads = [threading.Thread(target=first_open) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                assert errors == [], round_index
+                connection = sqlite3.connect(str(path))
+                try:
+                    mode = connection.execute("PRAGMA journal_mode").fetchone()[0]
+                finally:
+                    connection.close()
+                assert mode == "wal"
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_two_writers_interleave_without_loss(self, wh):
         errors: list = []
 
