@@ -180,6 +180,31 @@ class SessionState:
             self.analyzer_error = str(error)
             obs_runtime.count("ingest.server.analyzer_errors")
 
+    def sealed_store(self, stopping: bool) -> Optional[Tuple[Any, int]]:
+        """The live analyzer's sealed store and record count, if reusable.
+
+        Reusable only when the store holds exactly what a parse of the
+        spool would: the analyzer is alive, the session can take no more
+        lines (it ended, or the daemon is ``stopping``), no flush ever
+        failed, the analyzer saw every flushed line, and the spool file
+        is :meth:`~repro.ingest.spool.SessionSpool.intact`. Otherwise
+        (or when sealing raises) ``None``: compact from the spool.
+        """
+        with self.flush_lock:
+            analyzer = self.analyzer
+            if (
+                analyzer is None
+                or not (self.ended or stopping)
+                or self.flush_attempts
+                or analyzer.lines_fed != self.records_flushed
+                or not self.spool.intact()
+            ):
+                return None
+            try:
+                return analyzer.finalize().columnar, self.records_flushed
+            except LagAlyzerError:
+                return None
+
     def rolling_summary(self) -> Optional[Dict[str, Any]]:
         """The analyzer's running totals, or None outside incremental mode."""
         if self.analyzer is None:
@@ -517,13 +542,25 @@ class IngestServer:
     def compact_spools(self) -> Dict[str, int]:
         """Compact every session's flushed spool into the study warehouse.
 
-        Each spool is re-read as a trace source, analyzed with the
-        warehouse ingest plan (``statistics`` + ``occurrence``), and
-        stored under this daemon's ``run_id`` — so the warehouse's
-        per-session ``records`` equals the spool's record count, which
-        equals ``records_flushed`` (the zero-loss contract). Per-session
-        failures warn, count ``warehouse.write_errors``, and move on;
-        one damaged spool never loses the rest. Returns
+        Each session is analyzed with the warehouse ingest plan
+        (``statistics`` + ``occurrence`` + ``causes``) and stored under
+        this daemon's ``run_id`` — so the warehouse's per-session
+        ``records`` equals the spool's record count, which equals
+        ``records_flushed`` (the zero-loss contract).
+
+        In incremental mode a session whose live store matches its spool
+        (:meth:`SessionState.sealed_store`) is compacted from that store
+        without re-reading the spool: the rows, digest and ``.lilac``
+        bytes are the ones a parse of the spool would give. Every other
+        session — and every session of a non-incremental daemon — is
+        parsed from its spool by
+        :meth:`~repro.warehouse.StudyWarehouse.ingest_spool`; those
+        fallbacks count ``ingest.server.compact_reparsed``. Each session
+        gets a ``warehouse.compact_session`` span whose ``source``
+        attribute is ``live`` or ``spool``.
+
+        Per-session failures warn, count ``warehouse.write_errors``, and
+        move on; one damaged spool never loses the rest. Returns
         ``{"ingested", "skipped", "failed"}``.
         """
         ingested = skipped = failed = 0
@@ -558,12 +595,29 @@ class IngestServer:
                 if self.column_dir is not None
                 else None
             )
+            sealed = state.sealed_store(self._stopping.is_set())
+            if sealed is None and self.incremental:
+                obs_runtime.count("ingest.server.compact_reparsed")
             try:
-                changed = self.study_warehouse.ingest_spool(
-                    state.spool.path, self.run_id, config,
-                    session_id=state.session,
-                    column_file=column_file,
-                )
+                with obs_runtime.maybe_span(
+                    "warehouse.compact_session",
+                    session=state.session,
+                    source="spool" if sealed is None else "live",
+                ):
+                    if sealed is None:
+                        changed = self.study_warehouse.ingest_spool(
+                            state.spool.path, self.run_id, config,
+                            session_id=state.session,
+                            column_file=column_file,
+                        )
+                    else:
+                        store, records = sealed
+                        changed = self.study_warehouse.ingest_store(
+                            store, self.run_id, config,
+                            records=records,
+                            session_id=state.session,
+                            column_file=column_file,
+                        )
             except Exception as error:
                 failed += 1
                 obs_runtime.count("warehouse.write_errors")

@@ -11,10 +11,16 @@ on disk; nothing about the spool format says "partial".
 Spool files are named ``{application}-{session}.lila`` with both parts
 sanitized to a filesystem-safe alphabet, so a hostile session id cannot
 escape the spool directory.
+
+:meth:`SessionSpool.intact` says whether the file still reads back as
+exactly the lines this spool appended — the condition under which the
+daemon may compact a session from its live analyzer's store instead of
+re-parsing the file.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from pathlib import Path
@@ -59,24 +65,50 @@ class SessionSpool:
         self._file: Optional[object] = None
         #: Record lines durably appended so far.
         self.lines_written = 0
+        #: Bytes durably appended so far (by this object, across reopens).
+        self.bytes_written = 0
+        #: Whether an appended line carried a ``\r``, which a text
+        #: reader takes for a line end of its own.
+        self.carriage_return = False
+        self._position = 0
 
     def _handle(self) -> object:
         if self._file is None:
             self._file = open(self.path, "a", encoding="utf-8")
+            self._position = self._file.tell()
         return self._file
 
     def append(self, lines: Sequence[str]) -> int:
         """Append record lines (newline-terminated) and flush; count written."""
         if not lines:
             return 0
+        text = "\n".join(lines) + "\n"
         with self._lock:
             handle = self._handle()
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+            handle.write(text)
             handle.flush()
+            position = handle.tell()
+            self.bytes_written += position - self._position
+            self._position = position
             self.lines_written += len(lines)
+            if "\r" in text:
+                self.carriage_return = True
         return len(lines)
+
+    def intact(self) -> bool:
+        """Whether the file reads back as exactly the appended lines.
+
+        False when the file held bytes before this spool first opened
+        it, was edited or replaced since, is missing, or an appended
+        line carries a ``\r``.
+        """
+        with self._lock:
+            if self.carriage_return:
+                return False
+            try:
+                return os.path.getsize(self.path) == self.bytes_written
+            except OSError:
+                return False
 
     def close(self) -> None:
         with self._lock:

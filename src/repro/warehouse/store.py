@@ -175,6 +175,7 @@ class StudyWarehouse:
         connection = self._connect()
         try:
             with connection:
+                connection.execute("BEGIN IMMEDIATE")
                 connection.execute(
                     "INSERT INTO runs (run_id, label, source,"
                     " config_fingerprint, threshold_ms, created_ts)"
@@ -374,17 +375,17 @@ class StudyWarehouse:
         session_id: Optional[str] = None,
         column_file: Optional[Union[str, Path]] = None,
     ) -> bool:
-        """Analyze one ingest spool file and store its session.
+        """Parse one ingest spool file and store its session.
 
         ``records`` is the spool's record-line count, matching the
-        daemon's zero-loss ``records_flushed`` accounting.
-
-        ``column_file`` converts the spool to a ``.lilac`` column file
-        at that path first and analyzes the mmap-backed store instead of
-        the parsed object graph — the spool is parsed exactly once and
-        every later read of the session maps the column file.
+        daemon's zero-loss ``records_flushed`` accounting. The parsed
+        store goes through :meth:`ingest_store`, so ``column_file``
+        behaves as it does there. An incremental daemon calls this only
+        when it cannot reuse a session's live store (see
+        :meth:`repro.ingest.IngestServer.compact_spools`); the spool is
+        then the ground truth and parse errors carry its path.
         """
-        from repro.lila.source import build_store, build_trace, open_source
+        from repro.lila.source import build_store, open_source
 
         spool_path = Path(spool_path)
         # Every flushed line lands in the spool verbatim, so the line
@@ -392,17 +393,41 @@ class StudyWarehouse:
         # session — the zero-loss contract, queryable after the fact.
         with open(spool_path, "r", encoding="utf-8") as handle:
             records = sum(1 for _ in handle)
+        return self.ingest_store(
+            build_store(open_source(spool_path)), run_id, config,
+            records=records, ts=ts, session_id=session_id,
+            column_file=column_file,
+        )
+
+    def ingest_store(
+        self,
+        store: Any,
+        run_id: str,
+        config: Any,
+        records: int = 0,
+        ts: Optional[float] = None,
+        session_id: Optional[str] = None,
+        column_file: Optional[Union[str, Path]] = None,
+    ) -> bool:
+        """Store one session from a sealed columnar store.
+
+        ``records`` is stored as the session's record-line count.
+        ``column_file`` writes the store to a ``.lilac`` column file at
+        that path first and analyzes the mmap-backed store instead, so
+        every later read of the session maps the column file.
+        """
         if column_file is not None:
             from repro.lila.colfile import (
                 open_column_trace,
                 write_column_file,
             )
 
-            store = build_store(open_source(spool_path))
             write_column_file(store, Path(column_file))
             trace = open_column_trace(Path(column_file))
         else:
-            trace = build_trace(open_source(spool_path))
+            from repro.core.store.facade import FacadeTrace
+
+            trace = FacadeTrace(store)
         return self.ingest_trace(
             trace, run_id, config,
             records=records, ts=ts, session_id=session_id,
@@ -835,46 +860,38 @@ class StudyWarehouse:
         now = time.time() if now is None else float(now)
         connection = self._connect()
         try:
-            doomed: List[str] = []
-            if max_age_s is not None:
-                cutoff = now - float(max_age_s)
-                doomed.extend(
-                    row[0]
-                    for row in connection.execute(
-                        "SELECT run_id FROM runs WHERE created_ts < ?",
-                        (cutoff,),
+            with connection:
+                # Choose the doomed runs under the write lock, so a run
+                # a concurrent writer is filling is judged as it is now.
+                connection.execute("BEGIN IMMEDIATE")
+                doomed: List[str] = []
+                if max_age_s is not None:
+                    cutoff = now - float(max_age_s)
+                    doomed.extend(
+                        row[0]
+                        for row in connection.execute(
+                            "SELECT run_id FROM runs WHERE created_ts < ?",
+                            (cutoff,),
+                        )
                     )
-                )
-            if keep_runs is not None:
-                doomed.extend(
-                    row[0]
-                    for row in connection.execute(
-                        "SELECT run_id FROM runs"
-                        " ORDER BY created_ts DESC, run_id DESC"
-                        " LIMIT -1 OFFSET ?",
-                        (max(0, int(keep_runs)),),
+                if keep_runs is not None:
+                    doomed.extend(
+                        row[0]
+                        for row in connection.execute(
+                            "SELECT run_id FROM runs"
+                            " ORDER BY created_ts DESC, run_id DESC"
+                            " LIMIT -1 OFFSET ?",
+                            (max(0, int(keep_runs)),),
+                        )
                     )
-                )
-            doomed = sorted(set(doomed))
-            if doomed:
+                doomed = sorted(set(doomed))
                 marks = ", ".join("?" for _ in doomed)
-                with connection:
-                    connection.execute(
-                        f"DELETE FROM patterns WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM causes WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM sessions WHERE run_id IN ({marks})",
-                        doomed,
-                    )
-                    connection.execute(
-                        f"DELETE FROM runs WHERE run_id IN ({marks})",
-                        doomed,
-                    )
+                if doomed:
+                    for table in ("patterns", "causes", "sessions", "runs"):
+                        connection.execute(
+                            f"DELETE FROM {table} WHERE run_id IN ({marks})",
+                            doomed,
+                        )
         finally:
             connection.close()
         return len(doomed)
@@ -897,20 +914,23 @@ class StudyWarehouse:
         cutoff = now - float(older_than_s)
         connection = self._connect()
         try:
-            old_runs = [
-                row[0]
-                for row in connection.execute(
-                    "SELECT run_id FROM runs WHERE created_ts < ?", (cutoff,)
-                )
-            ]
-            if not old_runs:
-                return 0
-            marks = ", ".join("?" for _ in old_runs)
-            before = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE run_id IN ({marks})",
-                old_runs,
-            ).fetchone()[0]
             with connection:
+                connection.execute("BEGIN IMMEDIATE")
+                old_runs = [
+                    row[0]
+                    for row in connection.execute(
+                        "SELECT run_id FROM runs WHERE created_ts < ?",
+                        (cutoff,),
+                    )
+                ]
+                if not old_runs:
+                    return 0
+                marks = ", ".join("?" for _ in old_runs)
+                before = connection.execute(
+                    "SELECT COUNT(*) FROM patterns"
+                    f" WHERE run_id IN ({marks})",
+                    old_runs,
+                ).fetchone()[0]
                 connection.execute(
                     "CREATE TEMP TABLE folded AS"
                     " SELECT run_id, app, '' AS session_id, pattern_key,"
@@ -930,10 +950,11 @@ class StudyWarehouse:
                     " count, perceptible FROM folded"
                 )
                 connection.execute("DROP TABLE folded")
-            after = connection.execute(
-                f"SELECT COUNT(*) FROM patterns WHERE run_id IN ({marks})",
-                old_runs,
-            ).fetchone()[0]
+                after = connection.execute(
+                    "SELECT COUNT(*) FROM patterns"
+                    f" WHERE run_id IN ({marks})",
+                    old_runs,
+                ).fetchone()[0]
             reclaimed = int(before) - int(after)
             if reclaimed > 0:
                 connection.execute("VACUUM")
@@ -956,15 +977,17 @@ class StudyWarehouse:
         now = time.time() if now is None else float(now)
         connection = self._connect()
         try:
-            bad = connection.execute(
-                "SELECT rowid, * FROM sessions WHERE NOT (" + _NUMERIC_GUARD + ")"
-            ).fetchall()
-            bad_patterns = connection.execute(
-                "SELECT rowid, * FROM patterns WHERE NOT ("
-                "typeof(count) IN ('integer', 'real')"
-                " AND typeof(perceptible) IN ('integer', 'real'))"
-            ).fetchall()
             with connection:
+                connection.execute("BEGIN IMMEDIATE")
+                bad = connection.execute(
+                    "SELECT rowid, * FROM sessions"
+                    " WHERE NOT (" + _NUMERIC_GUARD + ")"
+                ).fetchall()
+                bad_patterns = connection.execute(
+                    "SELECT rowid, * FROM patterns WHERE NOT ("
+                    "typeof(count) IN ('integer', 'real')"
+                    " AND typeof(perceptible) IN ('integer', 'real'))"
+                ).fetchall()
                 for row in bad:
                     connection.execute(
                         "INSERT INTO quarantine (rowid_src, src_table,"

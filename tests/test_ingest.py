@@ -4,9 +4,10 @@ Covers the wire-level failure modes (truncated frames, bad version
 bytes, oversized batches), the flow-control contract (backpressure
 nacks, idempotent redelivery, zero loss through END), durability on
 mid-stream disconnects, the chaos behaviour under ``ingest.*`` fault
-sites, and the acceptance-critical property that incremental-mode
+sites, the acceptance-critical property that incremental-mode
 summaries are byte-identical to a one-shot analysis of the same
-records.
+records, and that compacting a session from its live store stores
+exactly what compacting it from its spool would.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import io
 import pickle
 import socket
+import sqlite3
 import struct
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -33,6 +37,9 @@ from repro.ingest import (
 from repro.ingest import protocol
 from repro.lila.source import build_store, open_source
 from repro.lila.writer import trace_to_lines
+from repro.obs import Observer
+from repro.obs import runtime as obs_runtime
+from repro.warehouse.store import StudyWarehouse
 
 
 def sample_lines(offset_ms: float = 0.0, session: str = "s0"):
@@ -462,6 +469,327 @@ class TestIncrementalParity:
 
 
 # ----------------------------------------------------------------------
+# Compaction source: live store or spool
+# ----------------------------------------------------------------------
+
+
+def warehouse_rows(path):
+    """Every ``sessions``/``patterns``/``causes`` row, minus ``ingested_ts``."""
+    connection = sqlite3.connect(str(path))
+    connection.row_factory = sqlite3.Row
+    try:
+        tables = {}
+        for table in ("sessions", "patterns", "causes"):
+            rows = []
+            for row in connection.execute(f"SELECT * FROM {table}"):
+                row = dict(row)
+                row.pop("ingested_ts", None)
+                rows.append(tuple(sorted(row.items())))
+            tables[table] = sorted(rows)
+        return tables
+    finally:
+        connection.close()
+
+
+def spool_reference(tmp_path, states, run_id):
+    """What parsing each session's spool stores: rows and ``.lilac`` bytes."""
+    reference = StudyWarehouse(tmp_path / "reference.sqlite")
+    columns = tmp_path / "reference-columns"
+    columns.mkdir()
+    for state in states:
+        reference.ingest_spool(
+            state.spool.path, run_id, AnalysisConfig(),
+            session_id=state.session,
+            column_file=columns / f"{state.session}.lilac",
+        )
+    return warehouse_rows(reference.path), {
+        path.name: path.read_bytes() for path in columns.iterdir()
+    }
+
+
+class CompactionRun:
+    """An incremental daemon with a study warehouse, under an observer."""
+
+    def __init__(self, tmp_path, run_id="r"):
+        self.tmp_path = tmp_path
+        self.run_id = run_id
+        self.observer = Observer()
+        self.warehouse_path = tmp_path / "wh.sqlite"
+        self.column_dir = tmp_path / "columns"
+        self.server = IngestServer(
+            spool_dir=tmp_path / "spools",
+            incremental=True,
+            study_warehouse=self.warehouse_path,
+            column_dir=self.column_dir,
+            run_id=run_id,
+        )
+
+    def __enter__(self):
+        self._installed = obs_runtime.installed(self.observer)
+        self._installed.__enter__()
+        self.server.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        try:
+            self.server.stop()
+        finally:
+            self._installed.__exit__(*exc_info)
+        return False
+
+    def stream(self, session, lines, application="App", batch_records=5):
+        with TraceClient(
+            self.server.address, session=session,
+            application=application, batch_records=batch_records,
+        ) as client:
+            client.extend(lines)
+        assert client.dropped_records == 0
+
+    def state(self, session):
+        return {s.session: s for s in self.server.sessions()}[session]
+
+    def sources(self):
+        """``session -> [source, ...]`` over every compaction so far."""
+        seen = {}
+        for span in self.observer.spans():
+            if span.name == "warehouse.compact_session":
+                seen.setdefault(span.attrs["session"], []).append(
+                    span.attrs["source"]
+                )
+        return seen
+
+    def reparsed(self):
+        return self.observer.metrics.counter_value(
+            "ingest.server.compact_reparsed"
+        )
+
+    def lilac(self):
+        return {
+            path.name: path.read_bytes()
+            for path in self.column_dir.iterdir()
+        }
+
+
+class TestCompactionSource:
+    def test_live_store_compaction_equals_spool_compaction(self, tmp_path):
+        from repro.apps.sessions import simulate_session
+
+        apps = ("CrosswordSage", "JMol", "Euclide")
+        sessions = {
+            f"{app}-0": (app, trace_to_lines(simulate_session(app, scale=0.03)))
+            for app in apps
+        }
+        names = sorted(sessions)
+        run = CompactionRun(tmp_path)
+        with run:
+            def ship(items):
+                for session in items:
+                    app, lines = sessions[session]
+                    run.stream(session, lines, app, batch_records=64)
+
+            threads = [
+                threading.Thread(target=ship, args=(names[k::2],))
+                for k in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            states = run.server.sessions()
+        assert run.sources() == {name: ["live"] for name in names}
+        assert run.reparsed() == 0
+
+        rows = warehouse_rows(run.warehouse_path)
+        reference_rows, reference_lilac = spool_reference(
+            tmp_path, states, "r"
+        )
+        assert all(rows[table] for table in rows)
+        assert rows == reference_rows
+        assert run.lilac() == reference_lilac
+        assert len(run.lilac()) == 3
+
+        connection = sqlite3.connect(str(run.warehouse_path))
+        try:
+            stored = dict(connection.execute(
+                "SELECT session_id, records FROM sessions"
+            ))
+            digests = dict(connection.execute(
+                "SELECT session_id, trace_digest FROM sessions"
+            ))
+        finally:
+            connection.close()
+        for state in states:
+            spooled = len(
+                state.spool.path.read_text(encoding="utf-8").splitlines()
+            )
+            assert stored[state.session] == state.records_flushed == spooled
+            assert stored[state.session] == len(sessions[state.session][1])
+            assert digests[state.session]
+
+    def test_transient_flush_fault_compacts_from_spool(self, tmp_path):
+        plan = FaultPlan(seed=5, rules=(
+            FaultRule(kind="task_error", site="ingest.flush",
+                      probability=1.0),  # times=1: first flush fails
+        ))
+        run = CompactionRun(tmp_path)
+        with faults_runtime.installed(FaultInjector(plan)):
+            with run:
+                run.stream("fl", sample_lines(session="fl"))
+                state = run.state("fl")
+                assert state.flush_attempts == 1
+                assert state.analyzer is not None
+        assert run.sources() == {"fl": ["spool"]}
+        assert run.reparsed() == 1
+        rows, lilac = spool_reference(tmp_path, [state], "r")
+        assert warehouse_rows(run.warehouse_path) == rows
+        assert run.lilac() == lilac
+
+    def test_damaged_line_compacts_from_spool_and_warns(self, tmp_path):
+        lines = sample_lines(session="dmg")
+        lines.insert(len(lines) - 1, "Z bogus record")
+        run = CompactionRun(tmp_path)
+        with pytest.warns(RuntimeWarning) as caught:
+            with run:
+                run.stream("dmg", lines)
+                state = run.state("dmg")
+                assert state.analyzer is None
+        messages = [str(w.message) for w in caught]
+        assert any(
+            "spool compaction failed for session 'dmg'" in message
+            and "unknown record type" in message
+            and message.endswith(f"spool kept at {state.spool.path}")
+            for message in messages
+        ), messages
+        assert run.sources() == {"dmg": ["spool"]}
+        assert run.reparsed() == 1
+        assert warehouse_rows(run.warehouse_path)["sessions"] == []
+
+    def test_unsealable_stream_warns_with_the_spool_message(self, tmp_path):
+        # The last close never arrives: sealing the live store raises,
+        # and the spool's parse reports the damage with its own path.
+        lines = sample_lines(session="open")
+        lines.remove("C 320000000")
+        run = CompactionRun(tmp_path)
+        with pytest.warns(RuntimeWarning) as caught:
+            with run:
+                run.stream("open", lines)
+                state = run.state("open")
+                assert state.analyzer is not None
+        with pytest.raises(Exception) as parse_error:
+            StudyWarehouse(tmp_path / "other.sqlite").ingest_spool(
+                state.spool.path, "r", AnalysisConfig(), session_id="open",
+            )
+        expected = (
+            f"spool compaction failed for session 'open': "
+            f"{parse_error.value} — spool kept at {state.spool.path}"
+        )
+        assert expected in [str(w.message) for w in caught]
+        assert run.sources() == {"open": ["spool"]}
+        assert run.reparsed() == 1
+
+    def test_carriage_return_line_compacts_from_spool(self, tmp_path):
+        # The live feed reads a \r as part of the symbol; a text reader
+        # of the spool takes it for a line end. The spool decides.
+        lines = sample_lines(session="cr")
+        index = lines.index("O 0 listener com.example.A.run")
+        lines[index] = "O 0 listener com.example.A\rrun"
+        run = CompactionRun(tmp_path)
+        with pytest.warns(RuntimeWarning) as caught:
+            with run:
+                run.stream("cr", lines)
+                state = run.state("cr")
+                assert state.analyzer is not None
+                assert state.spool.carriage_return
+        messages = [str(w.message) for w in caught]
+        assert any(
+            "spool compaction failed for session 'cr'" in message
+            and "unknown record type 'run'" in message
+            for message in messages
+        ), messages
+        assert run.sources() == {"cr": ["spool"]}
+        assert run.reparsed() == 1
+
+    def test_preexisting_spool_compacts_from_spool(self, tmp_path):
+        from repro.ingest.spool import spool_name
+
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        (spools / spool_name("pre", "App")).write_text(
+            "#%lila 1\n# left by an earlier daemon\n", encoding="utf-8"
+        )
+        lines = sample_lines(session="pre")
+        run = CompactionRun(tmp_path)
+        with run:
+            run.stream("pre", lines)
+            state = run.state("pre")
+        assert run.sources() == {"pre": ["spool"]}
+        assert run.reparsed() == 1
+        [row] = warehouse_rows(run.warehouse_path)["sessions"]
+        # The spool's two older lines count: the spool is the truth.
+        assert dict(row)["records"] == len(lines) + 2
+        assert state.records_flushed == len(lines)
+
+    def test_spool_edited_after_flush_compacts_from_spool(self, tmp_path):
+        run = CompactionRun(tmp_path)
+        with run:
+            for session in ("good", "bad"):
+                run.stream(session, sample_lines(session=session))
+            run.state("bad").spool.path.write_text(
+                "#%lila 1\nthis is not a lila record\n", encoding="utf-8"
+            )
+            with pytest.warns(
+                RuntimeWarning,
+                match="spool compaction failed for session 'bad'",
+            ):
+                counts = run.server.compact_spools()
+            assert counts == {"ingested": 1, "skipped": 0, "failed": 1}
+            # Detach so shutdown does not re-compact what we just pinned.
+            run.server.study_warehouse = None
+        assert run.sources() == {"good": ["live"], "bad": ["spool"]}
+        assert run.reparsed() == 1
+        sessions = warehouse_rows(run.warehouse_path)["sessions"]
+        assert [dict(row)["session_id"] for row in sessions] == ["good"]
+
+    def test_mid_session_compaction_never_seals_the_analyzer(self, tmp_path):
+        lines = sample_lines(session="mid")
+        # The prefix through the first dispatch's close is a whole trace.
+        cut = lines.index("C 150000000") + 1
+        run = CompactionRun(tmp_path)
+        with run:
+            client = TraceClient(
+                run.server.address, session="mid", batch_records=5
+            )
+            client.extend(lines[:cut])
+            client.flush()
+
+            def flushed_prefix():
+                sessions = run.server.sessions()
+                return bool(sessions) and sessions[0].records_flushed == cut
+
+            assert wait_until(flushed_prefix)
+            state = run.state("mid")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run.server.compact_spools() == {
+                    "ingested": 1, "skipped": 0, "failed": 0,
+                }
+            client.extend(lines[cut:])
+            client.close()
+            assert client.dropped_records == 0
+            assert state.analyzer is not None
+            assert state.analyzer_error is None
+            assert state.analyzer.lines_fed == len(lines)
+            assert state.analyzer.rolling_summary()["episodes"] == 3
+        assert run.sources() == {"mid": ["spool", "live"]}
+        assert run.reparsed() == 1
+        [row] = warehouse_rows(run.warehouse_path)["sessions"]
+        assert dict(row)["records"] == len(lines)
+        rows, lilac = spool_reference(tmp_path, [state], "r")
+        assert warehouse_rows(run.warehouse_path) == rows
+        assert run.lilac() == lilac
+
+
+# ----------------------------------------------------------------------
 # Spool
 # ----------------------------------------------------------------------
 
@@ -480,3 +808,28 @@ class TestSpool:
             assert spool.append([]) == 0
         assert spool.lines_written == 2
         assert spool.path.read_text() == "#%lila\nM application App\n"
+
+    def test_intact_until_the_file_changes_under_it(self, tmp_path):
+        spool = SessionSpool(tmp_path, "s1", "App")
+        assert not spool.intact()  # nothing written, no file
+        with spool:
+            spool.append(["#%lila 1", "M application App"])
+            assert spool.intact()
+        spool.append(["M session_id s1"])  # reopens and keeps counting
+        assert spool.intact()
+        with open(spool.path, "a", encoding="utf-8") as handle:
+            handle.write("# appended from outside\n")
+        assert not spool.intact()
+        spool.close()
+
+    def test_preexisting_or_carriage_return_spool_is_not_intact(
+        self, tmp_path
+    ):
+        old = SessionSpool(tmp_path, "old", "App")
+        old.path.write_text("#%lila 1\n", encoding="utf-8")
+        with old:
+            old.append(["M application App"])
+        assert not old.intact()
+        with SessionSpool(tmp_path, "cr", "App") as spool:
+            spool.append(["#%lila 1", "M application A\rpp"])
+        assert not spool.intact()

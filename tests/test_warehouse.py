@@ -1056,6 +1056,66 @@ class TestConcurrency:
             assert len(rows) == 1
         assert wh.top_patterns()[0].occurrences == 6
 
+    def test_prune_racing_a_writer_never_drops_a_kept_row(self, wh):
+        """Prune picks its runs and deletes them in one write
+        transaction: a session written concurrently into the newest run
+        survives ``keep_runs=1`` whichever side takes the lock first."""
+        wh.schema_version()
+        wh.ingest_session(
+            "r0", "App", "s0", make_stats(), trace_digest="d0", ts=0.0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_index in range(1, 11):
+                run, session = f"r{round_index}", f"s{round_index}"
+                start = threading.Barrier(2)
+                errors: list = []
+
+                def write() -> None:
+                    try:
+                        start.wait(timeout=10.0)
+                        wh.ingest_session(
+                            run, "App", session, make_stats(),
+                            pattern_counts={"k": (1, 0)},
+                            trace_digest=session, ts=float(round_index),
+                        )
+                    except Exception as error:  # pragma: no cover
+                        errors.append(error)
+
+                def prune() -> None:
+                    try:
+                        start.wait(timeout=10.0)
+                        wh.prune(keep_runs=1)
+                    except Exception as error:  # pragma: no cover
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=target)
+                    for target in (write, prune)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                assert errors == [], round_index
+                runs = {record.run_id for record in wh.runs()}
+                rows = session_rows(wh)
+                # The writer's run is the newest: prune-first keeps the
+                # previous newest beside it, write-first keeps it alone.
+                assert runs in (
+                    {run}, {f"r{round_index - 1}", run},
+                ), round_index
+                assert {row["run_id"] for row in rows} == runs
+                assert session in {row["session_id"] for row in rows}
+                # Settle the round so the next one starts from one run.
+                wh.prune(keep_runs=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [row["session_id"] for row in session_rows(wh)] == ["s10"]
+        assert wh.top_patterns()[0].occurrences == 1
+
     def test_reader_survives_concurrent_maintenance(self, wh):
         wh.record_run("old", ts=10.0)
         for index in range(20):
