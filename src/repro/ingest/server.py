@@ -38,6 +38,7 @@ import socketserver
 import threading
 import time
 import warnings
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -216,7 +217,9 @@ class _IngestHandler(socketserver.StreamRequestHandler):
     """One client connection: HELLO, then batches until END or EOF."""
 
     def handle(self) -> None:  # noqa: C901 - one protocol loop
-        server: "IngestServer" = self.server.ingest  # type: ignore[attr-defined]
+        server = self.server.ingest()  # type: ignore[attr-defined]
+        if server is None:  # the daemon was stopped and dropped
+            return
         try:
             frame = protocol.read_frame(
                 self.rfile, max_payload=server.max_payload
@@ -364,7 +367,10 @@ class _IngestHandler(socketserver.StreamRequestHandler):
 class _ThreadingServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    ingest: "IngestServer"
+    #: A weak back link, so the daemon and its socket server form no
+    #: reference cycle and a stopped daemon is freed as soon as it is
+    #: dropped. A handler holds the daemon strongly while it runs.
+    ingest: "weakref.ref[IngestServer]"
 
 
 class IngestServer:
@@ -445,7 +451,7 @@ class IngestServer:
         self._sessions: Dict[str, SessionState] = {}
         self._sessions_lock = threading.Lock()
         self._server = _ThreadingServer((host, port), _IngestHandler)
-        self._server.ingest = self
+        self._server.ingest = weakref.ref(self)
         self._serve_thread: Optional[threading.Thread] = None
         self._flush_thread: Optional[threading.Thread] = None
         self._flush_wake = threading.Event()

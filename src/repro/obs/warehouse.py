@@ -9,13 +9,14 @@ deltas, span rollups — keyed by run, host, and time bucket, so
 ``repro obs query`` can ask for e.g. the p99 send-to-ack latency per
 day across every run that ever published.
 
-Design rules:
+Every open, migration, read and write goes through
+:mod:`repro.core.sqlitedb`, the substrate shared with
+:mod:`repro.warehouse` (short-lived connections, WAL, one
+``BEGIN IMMEDIATE`` transaction per write). There is no long-lived
+handle to corrupt: delete the file mid-run and the next flush simply
+recreates it. Telemetry storage must never be a single point of failure
+for the system it observes. Beyond that:
 
-- **Repository pattern, short-lived connections.** Every operation
-  opens its own connection, ensures the schema, commits, and closes.
-  There is no long-lived handle to corrupt: delete the file mid-run
-  and the next flush simply recreates it. Telemetry storage must never
-  be a single point of failure for the system it observes.
 - **Additive writes.** A flush *merges* into its ``(run, name,
   bucket)`` row — counters and histogram cells add, gauges keep the
   max — so re-publishing after a failed flush is idempotent-ish in the
@@ -34,21 +35,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.errors import LagAlyzerError
-from repro.core.sqlite_wal import ensure_wal
-
-#: Schema version recorded in the ``meta`` table.
-SCHEMA_VERSION = 1
+from repro.core import sqlitedb
+from repro.core.sqlitedb import BUCKET_WIDTHS, WarehouseError
 
 #: Default width of a storage time bucket, in seconds.
 DEFAULT_BUCKET_S = 60
-
-#: Named display granularities accepted by the query API.
-BUCKET_WIDTHS: Dict[str, int] = {
-    "minute": 60,
-    "hour": 3600,
-    "day": 86400,
-}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -97,9 +88,9 @@ CREATE INDEX IF NOT EXISTS idx_span_rollups_name
     ON span_rollups (name, bucket_ts);
 """
 
-
-class WarehouseError(LagAlyzerError):
-    """The warehouse file is unusable or a query is malformed."""
+#: A one-step chain: files written before the chain existed carry
+#: ``schema_version = 1`` and open as current.
+_CHAIN = ((_SCHEMA,), "schema_version")
 
 
 def estimate_percentile(
@@ -143,41 +134,14 @@ class Warehouse:
         self.path = Path(path)
         self.bucket_s = max(1, int(bucket_s))
 
-    # ------------------------------------------------------------------
-    # Connection / schema management
-    # ------------------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with WAL mode and the schema ensured."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(str(self.path), timeout=5.0)
-        try:
-            ensure_wal(connection)
-            connection.execute("PRAGMA synchronous=NORMAL")
-            connection.executescript(_SCHEMA)
-            connection.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            # Close the implicit transaction the meta insert opened, so
-            # callers that need autocommit (VACUUM) start clean.
-            connection.commit()
-        except sqlite3.Error:
-            connection.close()
-            raise
-        return connection
-
     def bucket_ts(self, ts: float) -> int:
         """The storage bucket a wall-clock timestamp lands in."""
         return int(ts) // self.bucket_s * self.bucket_s
 
     def schema_version(self) -> int:
         """The schema version stored in the file (ensures the schema)."""
-        with self._connect() as connection:
-            row = connection.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        return int(row[0]) if row else 0
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
+            return sqlitedb.stored_version(connection, _CHAIN)
 
     # ------------------------------------------------------------------
     # Writes
@@ -204,48 +168,44 @@ class Warehouse:
         """
         now = time.time() if ts is None else float(ts)
         bucket = self.bucket_ts(now)
-        connection = self._connect()
-        try:
-            with connection:  # one transaction per flush
-                connection.execute(
-                    "INSERT INTO runs (run_id, host, started_ts, last_ts,"
-                    " flushes) VALUES (?, ?, ?, ?, 1)"
-                    " ON CONFLICT(run_id) DO UPDATE SET"
-                    " last_ts = excluded.last_ts,"
-                    " flushes = flushes + 1",
-                    (run_id, host, int(now), int(now)),
+        with sqlitedb.writing(self.path, _CHAIN) as connection:
+            connection.execute(
+                "INSERT INTO runs (run_id, host, started_ts, last_ts,"
+                " flushes) VALUES (?, ?, ?, ?, 1)"
+                " ON CONFLICT(run_id) DO UPDATE SET"
+                " last_ts = excluded.last_ts,"
+                " flushes = flushes + 1",
+                (run_id, host, int(now), int(now)),
+            )
+            for name, value in delta.get("counters", {}).items():
+                self._merge_metric(
+                    connection, run_id, name, "counter", bucket,
+                    float(value), add=True,
                 )
-                for name, value in delta.get("counters", {}).items():
-                    self._merge_metric(
-                        connection, run_id, name, "counter", bucket,
-                        float(value), add=True,
-                    )
-                for name, value in delta.get("gauges", {}).items():
-                    self._merge_metric(
-                        connection, run_id, name, "gauge", bucket,
-                        float(value), add=False,
-                    )
-                for name, raw in delta.get("histograms", {}).items():
-                    self._merge_histogram(
-                        connection, run_id, name, bucket, raw
-                    )
-                for name, raw in delta.get("spans", {}).items():
-                    connection.execute(
-                        "INSERT INTO span_rollups (run_id, name, bucket_ts,"
-                        " count, total_ms, max_ms) VALUES (?, ?, ?, ?, ?, ?)"
-                        " ON CONFLICT(run_id, name, bucket_ts) DO UPDATE SET"
-                        " count = count + excluded.count,"
-                        " total_ms = total_ms + excluded.total_ms,"
-                        " max_ms = MAX(max_ms, excluded.max_ms)",
-                        (
-                            run_id, name, bucket,
-                            int(raw.get("count", 0)),
-                            float(raw.get("total_ms", 0.0)),
-                            float(raw.get("max_ms", 0.0)),
-                        ),
-                    )
-        finally:
-            connection.close()
+            for name, value in delta.get("gauges", {}).items():
+                self._merge_metric(
+                    connection, run_id, name, "gauge", bucket,
+                    float(value), add=False,
+                )
+            for name, raw in delta.get("histograms", {}).items():
+                self._merge_histogram(
+                    connection, run_id, name, bucket, raw
+                )
+            for name, raw in delta.get("spans", {}).items():
+                connection.execute(
+                    "INSERT INTO span_rollups (run_id, name, bucket_ts,"
+                    " count, total_ms, max_ms) VALUES (?, ?, ?, ?, ?, ?)"
+                    " ON CONFLICT(run_id, name, bucket_ts) DO UPDATE SET"
+                    " count = count + excluded.count,"
+                    " total_ms = total_ms + excluded.total_ms,"
+                    " max_ms = MAX(max_ms, excluded.max_ms)",
+                    (
+                        run_id, name, bucket,
+                        int(raw.get("count", 0)),
+                        float(raw.get("total_ms", 0.0)),
+                        float(raw.get("max_ms", 0.0)),
+                    ),
+                )
 
     @staticmethod
     def _merge_metric(
@@ -336,7 +296,7 @@ class Warehouse:
         """Every run that ever published, newest last."""
         if not self.path.is_file():
             return []
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             rows = connection.execute(
                 "SELECT run_id, host, started_ts, last_ts, flushes"
                 " FROM runs ORDER BY started_ts, run_id"
@@ -358,7 +318,7 @@ class Warehouse:
             return {
                 "counters": [], "gauges": [], "histograms": [], "spans": [],
             }
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             counters = [
                 row[0] for row in connection.execute(
                     "SELECT DISTINCT name FROM metric_points"
@@ -405,7 +365,7 @@ class Warehouse:
         if not self.path.is_file():
             return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             rows = connection.execute(
                 "SELECT bucket_ts / ? * ? AS b,"
                 " SUM(CASE WHEN kind = 'counter' THEN value END),"
@@ -440,7 +400,7 @@ class Warehouse:
         if not self.path.is_file():
             return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             rows = connection.execute(
                 "SELECT bucket_ts, buckets, counts, count"
                 f" FROM histogram_points WHERE name = ?{where}"
@@ -478,7 +438,7 @@ class Warehouse:
         if not self.path.is_file():
             return []
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             rows = connection.execute(
                 "SELECT name, SUM(count), SUM(total_ms), MAX(max_ms)"
                 f" FROM span_rollups WHERE 1=1{where}"
@@ -507,7 +467,7 @@ class Warehouse:
         if not self.path.is_file():
             return {}
         where, params = self._filters(run_id, since_ts)
-        with self._connect() as connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
             rows = connection.execute(
                 "SELECT name, SUM(value) FROM metric_points"
                 f" WHERE kind = 'counter'{where}"
@@ -545,25 +505,19 @@ class Warehouse:
             (time.time() if now is None else now) - max_age_s
         )
         removed = 0
-        connection = self._connect()
-        try:
-            with connection:
-                for table in (
-                    "metric_points", "histogram_points", "span_rollups"
-                ):
-                    cursor = connection.execute(
-                        f"DELETE FROM {table} WHERE bucket_ts < ?",  # noqa: S608
-                        (cutoff,),
-                    )
-                    removed += cursor.rowcount
-                connection.execute(
-                    "DELETE FROM runs WHERE run_id NOT IN ("
-                    " SELECT run_id FROM metric_points"
-                    " UNION SELECT run_id FROM histogram_points"
-                    " UNION SELECT run_id FROM span_rollups)"
+        with sqlitedb.writing(self.path, _CHAIN) as connection:
+            for table in ("metric_points", "histogram_points", "span_rollups"):
+                cursor = connection.execute(
+                    f"DELETE FROM {table} WHERE bucket_ts < ?",  # noqa: S608
+                    (cutoff,),
                 )
-        finally:
-            connection.close()
+                removed += cursor.rowcount
+            connection.execute(
+                "DELETE FROM runs WHERE run_id NOT IN ("
+                " SELECT run_id FROM metric_points"
+                " UNION SELECT run_id FROM histogram_points"
+                " UNION SELECT run_id FROM span_rollups)"
+            )
         return removed
 
     def compact(
@@ -582,10 +536,11 @@ class Warehouse:
             return 0
         cutoff = (time.time() if now is None else now) - older_than_s
         coarse = max(self.bucket_s, int(coarse_s))
-        connection = self._connect()
-        try:
-            before = self._point_rows(connection)
-            with connection:
+        with sqlitedb.connected(self.path, _CHAIN) as connection:
+            with sqlitedb.transaction(connection):
+                # Counted under the write lock, so a flush landing
+                # between the two counts cannot skew the result.
+                before = self._point_rows(connection)
                 connection.execute(
                     "UPDATE OR IGNORE metric_points"
                     " SET bucket_ts = bucket_ts / ? * ?"
@@ -604,15 +559,9 @@ class Warehouse:
                     (coarse, coarse, int(cutoff)),
                 )
                 self._fold_rollup_collisions(connection, coarse, cutoff)
-            after = self._point_rows(connection)
-        finally:
-            connection.close()
-        # VACUUM cannot run inside a transaction.
-        connection = self._connect()
-        try:
+                after = self._point_rows(connection)
+            # VACUUM cannot run inside a transaction.
             connection.execute("VACUUM")
-        finally:
-            connection.close()
         return before - after
 
     @staticmethod

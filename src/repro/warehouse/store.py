@@ -9,11 +9,12 @@ per-session pattern occurrence counts, partitioned by run / application
 aggregates, top-N worst patterns, per-app time series, and before/after
 regression diffs between two run sets.
 
-Design rules (shared with :mod:`repro.obs.warehouse`):
+Every open, migration, read and write goes through
+:mod:`repro.core.sqlitedb`, the substrate shared with
+:mod:`repro.obs.warehouse` (short-lived connections, WAL, one
+``BEGIN IMMEDIATE`` transaction per write). Delete the file mid-run and
+the next write recreates it. Beyond that:
 
-- **Repository pattern, short-lived connections.** Every operation
-  opens its own connection, walks the migration chain, commits, and
-  closes. Delete the file mid-run and the next write recreates it.
 - **Parameterized SQL everywhere.** Application and session identifiers
   come straight off the ingest wire; they are always bound values,
   never spliced into statements.
@@ -29,20 +30,16 @@ Design rules (shared with :mod:`repro.obs.warehouse`):
 
 from __future__ import annotations
 
-import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core import sqlitedb
+from repro.core.sqlitedb import BUCKET_WIDTHS
 from repro.core.statistics import SessionStats
-from repro.core.sqlite_wal import ensure_wal
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
-from repro.warehouse.schema import (
-    SCHEMA_VERSION,
-    StudyWarehouseError,
-    ensure_schema,
-)
+from repro.warehouse.schema import CHAIN, StudyWarehouseError
 from repro.warehouse.types import (
     AppAggregate,
     PatternAggregate,
@@ -66,13 +63,6 @@ METRICS: Dict[str, str] = {
     "traced": "SUM(traced)",
     "long_per_min": "AVG(long_per_min)",
     "e2e_s": "SUM(e2e_s)",
-}
-
-#: Display bucket widths accepted by :meth:`StudyWarehouse.series`.
-BUCKET_WIDTHS: Dict[str, int] = {
-    "minute": 60,
-    "hour": 3600,
-    "day": 86400,
 }
 
 #: SQL guard keeping corrupt (non-numeric) session rows out of every
@@ -129,33 +119,10 @@ class StudyWarehouse:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    # ------------------------------------------------------------------
-    # Connection / schema management
-    # ------------------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection, schema migrated to the current version."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(str(self.path), timeout=10.0)
-        try:
-            ensure_wal(connection)
-            connection.execute("PRAGMA synchronous=NORMAL")
-            ensure_schema(connection)
-        except sqlite3.Error:
-            connection.close()
-            raise
-        return connection
-
     def schema_version(self) -> int:
         """The schema version of the file (migrating it if behind)."""
-        connection = self._connect()
-        try:
-            row = connection.execute(
-                "SELECT value FROM meta WHERE key = 'study_schema_version'"
-            ).fetchone()
-            return int(row[0]) if row else SCHEMA_VERSION
-        finally:
-            connection.close()
+        with sqlitedb.connected(self.path, CHAIN) as connection:
+            return sqlitedb.stored_version(connection, CHAIN)
 
     # ------------------------------------------------------------------
     # Writes
@@ -172,32 +139,27 @@ class StudyWarehouse:
     ) -> None:
         """Upsert one run row (idempotent; later calls refresh metadata)."""
         now = time.time() if ts is None else float(ts)
-        connection = self._connect()
-        try:
-            with connection:
-                connection.execute("BEGIN IMMEDIATE")
-                connection.execute(
-                    "INSERT INTO runs (run_id, label, source,"
-                    " config_fingerprint, threshold_ms, created_ts)"
-                    " VALUES (?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(run_id) DO UPDATE SET"
-                    " label = CASE WHEN excluded.label != ''"
-                    "   THEN excluded.label ELSE label END,"
-                    " source = CASE WHEN excluded.source != ''"
-                    "   THEN excluded.source ELSE source END,"
-                    " config_fingerprint ="
-                    "   CASE WHEN excluded.config_fingerprint != ''"
-                    "   THEN excluded.config_fingerprint"
-                    "   ELSE config_fingerprint END,"
-                    " threshold_ms = COALESCE(excluded.threshold_ms,"
-                    "   threshold_ms)",
-                    (
-                        run_id, label, source, config_fingerprint,
-                        threshold_ms, now,
-                    ),
-                )
-        finally:
-            connection.close()
+        with sqlitedb.writing(self.path, CHAIN) as connection:
+            connection.execute(
+                "INSERT INTO runs (run_id, label, source,"
+                " config_fingerprint, threshold_ms, created_ts)"
+                " VALUES (?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(run_id) DO UPDATE SET"
+                " label = CASE WHEN excluded.label != ''"
+                "   THEN excluded.label ELSE label END,"
+                " source = CASE WHEN excluded.source != ''"
+                "   THEN excluded.source ELSE source END,"
+                " config_fingerprint ="
+                "   CASE WHEN excluded.config_fingerprint != ''"
+                "   THEN excluded.config_fingerprint"
+                "   ELSE config_fingerprint END,"
+                " threshold_ms = COALESCE(excluded.threshold_ms,"
+                "   threshold_ms)",
+                (
+                    run_id, label, source, config_fingerprint,
+                    threshold_ms, now,
+                ),
+            )
 
     def ingest_session(
         self,
@@ -236,88 +198,82 @@ class StudyWarehouse:
         now = time.time() if ts is None else float(ts)
         counts = pattern_counts or {}
         stat_values = [float(getattr(stats, name)) for name in _STAT_COLUMNS]
-        connection = self._connect()
-        try:
-            with connection:
-                # Take the write lock before the dedup check, so the
-                # check and the write are one transaction: two writers
-                # of the same session cannot both see it absent.
-                connection.execute("BEGIN IMMEDIATE")
-                existing = connection.execute(
-                    "SELECT trace_digest FROM sessions"
-                    " WHERE run_id = ? AND app = ? AND session_id = ?",
-                    (run_id, app, session_id),
-                ).fetchone()
-                if existing is not None and existing[0] == trace_digest:
-                    return False
-                connection.execute(
-                    "INSERT OR IGNORE INTO runs (run_id, created_ts)"
-                    " VALUES (?, ?)",
-                    (run_id, now),
-                )
-                connection.execute(
-                    "DELETE FROM patterns WHERE run_id = ? AND app = ?"
-                    " AND session_id = ?",
-                    (run_id, app, session_id),
-                )
-                connection.execute(
-                    "DELETE FROM causes WHERE run_id = ? AND app = ?"
-                    " AND session_id = ?",
-                    (run_id, app, session_id),
-                )
-                connection.execute(
-                    "INSERT INTO sessions (run_id, app, session_id,"
-                    " trace_digest, config_fingerprint, ingested_ts,"
-                    " records, excluded_episodes, family, "
-                    + ", ".join(_STAT_COLUMNS)
-                    + ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, "
-                    + ", ".join("?" for _ in _STAT_COLUMNS)
-                    + ") ON CONFLICT(run_id, app, session_id) DO UPDATE SET"
-                    " trace_digest = excluded.trace_digest,"
-                    " config_fingerprint = excluded.config_fingerprint,"
-                    " ingested_ts = excluded.ingested_ts,"
-                    " records = excluded.records,"
-                    " excluded_episodes = excluded.excluded_episodes,"
-                    " family = excluded.family, "
-                    + ", ".join(
-                        f"{name} = excluded.{name}" for name in _STAT_COLUMNS
-                    ),
-                    [
-                        run_id, app, session_id, trace_digest,
-                        config_fingerprint, now, int(records), int(excluded),
-                        str(family),
-                    ]
-                    + stat_values,
-                )
+        with sqlitedb.writing(self.path, CHAIN) as connection:
+            # The dedup check runs inside the write transaction: two
+            # writers of the same session cannot both see it absent.
+            existing = connection.execute(
+                "SELECT trace_digest FROM sessions"
+                " WHERE run_id = ? AND app = ? AND session_id = ?",
+                (run_id, app, session_id),
+            ).fetchone()
+            if existing is not None and existing[0] == trace_digest:
+                return False
+            connection.execute(
+                "INSERT OR IGNORE INTO runs (run_id, created_ts)"
+                " VALUES (?, ?)",
+                (run_id, now),
+            )
+            connection.execute(
+                "DELETE FROM patterns WHERE run_id = ? AND app = ?"
+                " AND session_id = ?",
+                (run_id, app, session_id),
+            )
+            connection.execute(
+                "DELETE FROM causes WHERE run_id = ? AND app = ?"
+                " AND session_id = ?",
+                (run_id, app, session_id),
+            )
+            connection.execute(
+                "INSERT INTO sessions (run_id, app, session_id,"
+                " trace_digest, config_fingerprint, ingested_ts,"
+                " records, excluded_episodes, family, "
+                + ", ".join(_STAT_COLUMNS)
+                + ") VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, "
+                + ", ".join("?" for _ in _STAT_COLUMNS)
+                + ") ON CONFLICT(run_id, app, session_id) DO UPDATE SET"
+                " trace_digest = excluded.trace_digest,"
+                " config_fingerprint = excluded.config_fingerprint,"
+                " ingested_ts = excluded.ingested_ts,"
+                " records = excluded.records,"
+                " excluded_episodes = excluded.excluded_episodes,"
+                " family = excluded.family, "
+                + ", ".join(
+                    f"{name} = excluded.{name}" for name in _STAT_COLUMNS
+                ),
+                [
+                    run_id, app, session_id, trace_digest,
+                    config_fingerprint, now, int(records), int(excluded),
+                    str(family),
+                ]
+                + stat_values,
+            )
+            connection.executemany(
+                "INSERT INTO patterns (run_id, app, session_id,"
+                " pattern_key, count, perceptible)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                [
+                    (
+                        run_id, app, session_id, str(key),
+                        int(pair[0]), int(pair[1]),
+                    )
+                    for key, pair in sorted(counts.items())
+                ],
+            )
+            if causes:
                 connection.executemany(
-                    "INSERT INTO patterns (run_id, app, session_id,"
-                    " pattern_key, count, perceptible)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
+                    "INSERT INTO causes (run_id, app, session_id,"
+                    " label, total_ns, episodes, perceptible_ns,"
+                    " perceptible_episodes)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                     [
                         (
-                            run_id, app, session_id, str(key),
-                            int(pair[0]), int(pair[1]),
+                            run_id, app, session_id, str(label),
+                            int(row[0]), int(row[1]),
+                            int(row[2]), int(row[3]),
                         )
-                        for key, pair in sorted(counts.items())
+                        for label, row in sorted(causes.items())
                     ],
                 )
-                if causes:
-                    connection.executemany(
-                        "INSERT INTO causes (run_id, app, session_id,"
-                        " label, total_ns, episodes, perceptible_ns,"
-                        " perceptible_episodes)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                        [
-                            (
-                                run_id, app, session_id, str(label),
-                                int(row[0]), int(row[1]),
-                                int(row[2]), int(row[3]),
-                            )
-                            for label, row in sorted(causes.items())
-                        ],
-                    )
-        finally:
-            connection.close()
         obs_runtime.count("warehouse.sessions_ingested")
         return True
 
@@ -541,16 +497,13 @@ class StudyWarehouse:
         """Every recorded run, oldest first, with its session count."""
         if not self.path.exists():
             return []
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             rows = connection.execute(
                 "SELECT r.run_id, r.label, r.source, r.config_fingerprint,"
                 " r.threshold_ms, r.created_ts,"
                 " (SELECT COUNT(*) FROM sessions s WHERE s.run_id = r.run_id)"
                 " FROM runs r ORDER BY r.created_ts, r.run_id"
             ).fetchall()
-        finally:
-            connection.close()
         return [
             RunRecord(
                 run_id=row[0],
@@ -575,8 +528,7 @@ class StudyWarehouse:
         if not self.path.exists():
             return []
         where, params = self._filters(apps, run_ids, since_ts, families)
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             rows = connection.execute(
                 "SELECT app, COUNT(*), SUM(traced), SUM(perceptible),"
                 " SUM(e2e_s), AVG(long_per_min)"
@@ -584,8 +536,6 @@ class StudyWarehouse:
                 " GROUP BY app ORDER BY app",
                 params,
             ).fetchall()
-        finally:
-            connection.close()
         return [
             AppAggregate(
                 application=row[0],
@@ -638,8 +588,7 @@ class StudyWarehouse:
             )
             params.extend(run_ids)
         where = " AND ".join(clauses)
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             rows = connection.execute(
                 "SELECT app, pattern_key, SUM(count) AS total_count,"
                 " SUM(perceptible) AS total_perceptible,"
@@ -650,8 +599,6 @@ class StudyWarehouse:
                 " LIMIT ?",
                 params + [int(n)],
             ).fetchall()
-        finally:
-            connection.close()
         return [
             PatternAggregate(
                 application=row[0],
@@ -688,8 +635,7 @@ class StudyWarehouse:
         if not self.path.exists():
             return []
         where, params = self._filters(apps, run_ids, since_ts, families)
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             rows = connection.execute(
                 "SELECT app,"
                 " CAST(ingested_ts AS INTEGER) / ? * ? AS bucket_ts,"
@@ -698,8 +644,6 @@ class StudyWarehouse:
                 " GROUP BY app, bucket_ts ORDER BY app, bucket_ts",
                 [width, width] + params,
             ).fetchall()
-        finally:
-            connection.close()
         return [
             SeriesPoint(
                 application=row[0],
@@ -731,15 +675,12 @@ class StudyWarehouse:
             if not self.path.exists() or not runs:
                 return {}
             where, params = self._filters(run_ids=runs)
-            connection = self._connect()
-            try:
+            with sqlitedb.connected(self.path, CHAIN) as connection:
                 rows = connection.execute(
                     f"SELECT app, {value_sql}, COUNT(*)"
                     f" FROM sessions WHERE {where} GROUP BY app",
                     params,
                 ).fetchall()
-            finally:
-                connection.close()
             return {
                 row[0]: (float(row[1] or 0.0), int(row[2])) for row in rows
             }
@@ -798,15 +739,12 @@ class StudyWarehouse:
             clauses.append("app IN (" + ", ".join("?" for _ in apps) + ")")
             params.extend(apps)
         where = " AND ".join(clauses)
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             rows = connection.execute(
                 f"SELECT label, {value_cols} FROM causes"
                 f" WHERE {where} GROUP BY label ORDER BY label",
                 params,
             ).fetchall()
-        finally:
-            connection.close()
         return {
             row[0]: (int(row[1] or 0), int(row[2] or 0)) for row in rows
         }
@@ -858,42 +796,37 @@ class StudyWarehouse:
         if not self.path.exists():
             return 0
         now = time.time() if now is None else float(now)
-        connection = self._connect()
-        try:
-            with connection:
-                # Choose the doomed runs under the write lock, so a run
-                # a concurrent writer is filling is judged as it is now.
-                connection.execute("BEGIN IMMEDIATE")
-                doomed: List[str] = []
-                if max_age_s is not None:
-                    cutoff = now - float(max_age_s)
-                    doomed.extend(
-                        row[0]
-                        for row in connection.execute(
-                            "SELECT run_id FROM runs WHERE created_ts < ?",
-                            (cutoff,),
-                        )
+        with sqlitedb.writing(self.path, CHAIN) as connection:
+            # Choose the doomed runs under the write lock, so a run a
+            # concurrent writer is filling is judged as it is now.
+            doomed: List[str] = []
+            if max_age_s is not None:
+                cutoff = now - float(max_age_s)
+                doomed.extend(
+                    row[0]
+                    for row in connection.execute(
+                        "SELECT run_id FROM runs WHERE created_ts < ?",
+                        (cutoff,),
                     )
-                if keep_runs is not None:
-                    doomed.extend(
-                        row[0]
-                        for row in connection.execute(
-                            "SELECT run_id FROM runs"
-                            " ORDER BY created_ts DESC, run_id DESC"
-                            " LIMIT -1 OFFSET ?",
-                            (max(0, int(keep_runs)),),
-                        )
+                )
+            if keep_runs is not None:
+                doomed.extend(
+                    row[0]
+                    for row in connection.execute(
+                        "SELECT run_id FROM runs"
+                        " ORDER BY created_ts DESC, run_id DESC"
+                        " LIMIT -1 OFFSET ?",
+                        (max(0, int(keep_runs)),),
                     )
-                doomed = sorted(set(doomed))
-                marks = ", ".join("?" for _ in doomed)
-                if doomed:
-                    for table in ("patterns", "causes", "sessions", "runs"):
-                        connection.execute(
-                            f"DELETE FROM {table} WHERE run_id IN ({marks})",
-                            doomed,
-                        )
-        finally:
-            connection.close()
+                )
+            doomed = sorted(set(doomed))
+            marks = ", ".join("?" for _ in doomed)
+            if doomed:
+                for table in ("patterns", "causes", "sessions", "runs"):
+                    connection.execute(
+                        f"DELETE FROM {table} WHERE run_id IN ({marks})",
+                        doomed,
+                    )
         return len(doomed)
 
     def compact(
@@ -912,10 +845,8 @@ class StudyWarehouse:
             return 0
         now = time.time() if now is None else float(now)
         cutoff = now - float(older_than_s)
-        connection = self._connect()
-        try:
-            with connection:
-                connection.execute("BEGIN IMMEDIATE")
+        with sqlitedb.connected(self.path, CHAIN) as connection:
+            with sqlitedb.transaction(connection):
                 old_runs = [
                     row[0]
                     for row in connection.execute(
@@ -958,8 +889,6 @@ class StudyWarehouse:
             reclaimed = int(before) - int(after)
             if reclaimed > 0:
                 connection.execute("VACUUM")
-        finally:
-            connection.close()
         return reclaimed
 
     def quarantine_corrupt(self, now: Optional[float] = None) -> int:
@@ -975,45 +904,40 @@ class StudyWarehouse:
         if not self.path.exists():
             return 0
         now = time.time() if now is None else float(now)
-        connection = self._connect()
-        try:
-            with connection:
-                connection.execute("BEGIN IMMEDIATE")
-                bad = connection.execute(
-                    "SELECT rowid, * FROM sessions"
-                    " WHERE NOT (" + _NUMERIC_GUARD + ")"
-                ).fetchall()
-                bad_patterns = connection.execute(
-                    "SELECT rowid, * FROM patterns WHERE NOT ("
-                    "typeof(count) IN ('integer', 'real')"
-                    " AND typeof(perceptible) IN ('integer', 'real'))"
-                ).fetchall()
-                for row in bad:
-                    connection.execute(
-                        "INSERT INTO quarantine (rowid_src, src_table,"
-                        " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
-                        (
-                            row[0], "sessions", "non-numeric stats",
-                            json.dumps(row[1:], default=str), now,
-                        ),
-                    )
-                    connection.execute(
-                        "DELETE FROM sessions WHERE rowid = ?", (row[0],)
-                    )
-                for row in bad_patterns:
-                    connection.execute(
-                        "INSERT INTO quarantine (rowid_src, src_table,"
-                        " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
-                        (
-                            row[0], "patterns", "non-numeric counts",
-                            json.dumps(row[1:], default=str), now,
-                        ),
-                    )
-                    connection.execute(
-                        "DELETE FROM patterns WHERE rowid = ?", (row[0],)
-                    )
-        finally:
-            connection.close()
+        with sqlitedb.writing(self.path, CHAIN) as connection:
+            bad = connection.execute(
+                "SELECT rowid, * FROM sessions"
+                " WHERE NOT (" + _NUMERIC_GUARD + ")"
+            ).fetchall()
+            bad_patterns = connection.execute(
+                "SELECT rowid, * FROM patterns WHERE NOT ("
+                "typeof(count) IN ('integer', 'real')"
+                " AND typeof(perceptible) IN ('integer', 'real'))"
+            ).fetchall()
+            for row in bad:
+                connection.execute(
+                    "INSERT INTO quarantine (rowid_src, src_table,"
+                    " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
+                    (
+                        row[0], "sessions", "non-numeric stats",
+                        json.dumps(row[1:], default=str), now,
+                    ),
+                )
+                connection.execute(
+                    "DELETE FROM sessions WHERE rowid = ?", (row[0],)
+                )
+            for row in bad_patterns:
+                connection.execute(
+                    "INSERT INTO quarantine (rowid_src, src_table,"
+                    " reason, payload, swept_ts) VALUES (?, ?, ?, ?, ?)",
+                    (
+                        row[0], "patterns", "non-numeric counts",
+                        json.dumps(row[1:], default=str), now,
+                    ),
+                )
+                connection.execute(
+                    "DELETE FROM patterns WHERE rowid = ?", (row[0],)
+                )
         swept = len(bad) + len(bad_patterns)
         if swept:
             obs_runtime.count("warehouse.quarantined_rows", swept)
@@ -1023,8 +947,7 @@ class StudyWarehouse:
         """``(table, reason)`` of every quarantined row, sweep order."""
         if not self.path.exists():
             return []
-        connection = self._connect()
-        try:
+        with sqlitedb.connected(self.path, CHAIN) as connection:
             return [
                 (row[0], row[1])
                 for row in connection.execute(
@@ -1032,8 +955,6 @@ class StudyWarehouse:
                     " ORDER BY swept_ts, rowid"
                 )
             ]
-        finally:
-            connection.close()
 
     def __repr__(self) -> str:
         return f"StudyWarehouse({str(self.path)!r})"

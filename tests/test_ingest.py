@@ -12,6 +12,7 @@ exactly what compacting it from its spool would.
 
 from __future__ import annotations
 
+import gc
 import io
 import pickle
 import socket
@@ -20,6 +21,7 @@ import struct
 import threading
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -259,6 +261,28 @@ class TestServerWire:
             assert reason.startswith("bad-batch")
         finally:
             conn.close()
+
+    def test_stopped_daemon_is_freed_without_a_cycle_collection(
+        self, tmp_path
+    ):
+        """The socket server links back to the daemon weakly, so a
+        started, used, stopped and dropped daemon is freed by reference
+        counting alone."""
+        gc.disable()
+        try:
+            srv = IngestServer(spool_dir=tmp_path / "spools").start()
+            conn = RawConnection(srv.address)
+            try:
+                assert conn.hello(session="gone").type == protocol.T_ACK
+                assert conn.send(protocol.T_END, 1).type == protocol.T_ACK
+            finally:
+                conn.close()
+            srv.stop()
+            ref = weakref.ref(srv)
+            del srv
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ exit-code contract.
 from __future__ import annotations
 
 import json
+import sqlite3
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -33,6 +36,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.publisher import FLUSHES, LOST_FLUSHES, snapshot_delta
 from repro.obs.slo import SloError, ingest_stats_for_slo
 from repro.obs.warehouse import (
+    _SCHEMA,
     WarehouseError,
     estimate_percentile,
 )
@@ -183,6 +187,131 @@ class TestWarehouse:
         wh.path.unlink()
         wh.record_delta("r1", {"counters": {"c": 2}}, ts=1060)
         assert wh.totals() == {"c": 2.0}  # fresh file, no stale handle
+
+
+class TestWarehouseConcurrency:
+    def test_reads_answer_while_a_writer_holds_the_lock(self, tmp_path):
+        """Opening a current file only reads it, so a query never waits
+        on, or fails behind, another connection's write transaction."""
+        wh = Warehouse(tmp_path / "m.db")
+        wh.record_delta("r1", {"counters": {"c": 2}, "histograms": {"h": HIST},
+                               "spans": {"s": {"count": 1}}}, ts=1000)
+        holder = sqlite3.connect(str(wh.path), timeout=0.1)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            holder.execute("UPDATE runs SET flushes = flushes + 1")
+            assert [run["flushes"] for run in wh.runs()] == [1]
+            assert wh.series("c") == [(960, 2.0)]
+            assert wh.totals() == {"c": 2.0}
+            assert wh.percentile_series("h", bucket="minute") == [
+                (960, 10.0, 8)
+            ]
+            assert [row["name"] for row in wh.span_summary()] == ["s"]
+            assert wh.metric_names()["histograms"] == ["h"]
+            assert wh.schema_version() == 1
+        finally:
+            holder.rollback()
+            holder.close()
+
+    def test_racing_flushes_lose_no_counter_increment(self, tmp_path):
+        wh = Warehouse(tmp_path / "m.db")
+        wh.schema_version()
+        flushes = 30
+        start = threading.Barrier(2)
+        errors: list = []
+
+        def publish() -> None:
+            try:
+                start.wait(timeout=10.0)
+                for index in range(flushes):
+                    wh.record_delta("r", {
+                        "counters": {"c": 1},
+                        "histograms": {"h": HIST},
+                        "spans": {"s": {"count": 1, "total_ms": 1.0}},
+                    }, ts=1000 + index)
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=publish) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        # Both threads merge into the same (run, name, bucket) rows.
+        assert wh.totals() == {"c": 2.0 * flushes}
+        assert wh.percentile_series("h", bucket="day") == [
+            (0, 10.0, 2 * flushes * HIST["count"])
+        ]
+        assert wh.span_summary()[0]["count"] == 2 * flushes
+        assert [run["flushes"] for run in wh.runs()] == [2 * flushes]
+
+    def test_file_from_the_pre_chain_open_path_is_current(self, tmp_path):
+        """A file laid down by the schema script plus the
+        ``schema_version = 1`` meta row opens at version 1, unchanged,
+        and answers every query as a file the chain created does."""
+        fresh = Warehouse(tmp_path / "fresh.db")
+        fresh.record_delta("r1", {"counters": {"c": 1}, "gauges": {"g": 4},
+                                  "histograms": {"h": HIST},
+                                  "spans": {"s": {"count": 2,
+                                                  "total_ms": 3.0,
+                                                  "max_ms": 2.0}}},
+                           ts=1000, host="box")
+        fresh.record_delta("r2", {"counters": {"c": 5}}, ts=5000)
+        legacy_path = tmp_path / "legacy.db"
+        connection = sqlite3.connect(str(legacy_path))
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            connection.executescript(_SCHEMA)
+            connection.execute(
+                "INSERT OR IGNORE INTO meta (key, value)"
+                " VALUES ('schema_version', '1')"
+            )
+            connection.execute("ATTACH ? AS fresh", (str(fresh.path),))
+            for table in (
+                "runs", "metric_points", "histogram_points", "span_rollups",
+            ):
+                connection.execute(
+                    f"INSERT INTO main.{table} SELECT * FROM fresh.{table}"
+                )
+            connection.commit()
+            connection.execute("DETACH fresh")
+            before = connection.execute(
+                "SELECT * FROM sqlite_master ORDER BY name"
+            ).fetchall()
+        finally:
+            connection.close()
+
+        def answers(wh: Warehouse) -> tuple:
+            return (
+                wh.runs(),
+                wh.metric_names(),
+                wh.series("c", bucket="hour"),
+                wh.series("g"),
+                wh.percentile_series("h", q=0.5, bucket="minute"),
+                wh.span_summary(),
+                wh.totals(),
+            )
+
+        legacy = Warehouse(legacy_path)
+        assert legacy.schema_version() == 1
+        assert answers(legacy) == answers(fresh)
+        connection = sqlite3.connect(str(legacy_path))
+        try:
+            assert connection.execute(
+                "SELECT * FROM sqlite_master ORDER BY name"
+            ).fetchall() == before
+            assert connection.execute("SELECT * FROM meta").fetchall() == [
+                ("schema_version", "1"),
+            ]
+        finally:
+            connection.close()
 
 
 class TestEstimatePercentile:

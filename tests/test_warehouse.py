@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.analyzer import AnalysisConfig, LagAlyzer
 from repro.core.plan import build_plan
+from repro.core.sqlitedb import migrate, stored_version
 from repro.core.statistics import SessionStats
 from repro.engine.cache import (
     ResultCache,
@@ -39,11 +40,10 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs.warehouse import Warehouse
 from repro.study.runner import StudyConfig, run_study
 from repro.warehouse.schema import (
+    CHAIN,
     MIGRATIONS,
     SCHEMA_VERSION,
     StudyWarehouseError,
-    ensure_schema,
-    stored_version,
 )
 from repro.warehouse.store import INGEST_ANALYSES, StudyWarehouse
 from repro.warehouse.types import RegressionReport
@@ -138,7 +138,7 @@ class TestSchema:
         assert wh.schema_version() == SCHEMA_VERSION
         connection = sqlite3.connect(str(wh.path))
         try:
-            assert stored_version(connection) == SCHEMA_VERSION
+            assert stored_version(connection, CHAIN) == SCHEMA_VERSION
         finally:
             connection.close()
 
@@ -188,9 +188,9 @@ class TestSchema:
         connection.commit()
         # A crash between migration steps leaves a valid lower-version
         # file; the next open resumes the walk from there.
-        assert ensure_schema(connection) == 1
-        assert stored_version(connection) == SCHEMA_VERSION
-        assert ensure_schema(connection) == SCHEMA_VERSION
+        assert migrate(connection, CHAIN) == 1
+        assert stored_version(connection, CHAIN) == SCHEMA_VERSION
+        assert migrate(connection, CHAIN) == SCHEMA_VERSION
         connection.close()
 
     def test_v2_adds_quarantine_table_and_pattern_index(self, wh):
